@@ -625,34 +625,30 @@ let ablations () =
 (* ------------------------------------------------------------------ *)
 
 (* P1 — bounded-exploration scaling: reachable states and wall time per
-   depth, serial vs parallel domains. *)
+   depth of the depth-cut inclusion explorer, which is serial
+   (parallelism lives at the batch level; EXPERIMENTS.md, P1). *)
 let p1 () =
   Report.section "P1: state-space exploration scaling (RW ⊑ Write, bounded)";
   let alphabet = Spec.concrete_alphabet universe Ex.rw in
-  let t =
-    Report.create
-      [ "depth"; "reachable states"; "serial ms"; "4-domain ms"; "verdict" ]
-  in
+  let t = Report.create [ "depth"; "reachable states"; "serial ms"; "verdict" ] in
   let jrows = ref [] in
   List.iter
     (fun d ->
       let states =
         Bmc.count_states ctx ~alphabet ~depth:d (Spec.tset Ex.rw)
       in
-      let run domains () =
-        Bmc.check_inclusion ~domains ctx ~alphabet ~depth:d
-          ~lhs:(Spec.tset Ex.rw) ~proj:(Spec.alpha Ex.write)
-          ~rhs:(Spec.tset Ex.write)
+      let v, ms =
+        wall (fun () ->
+            Bmc.check_inclusion ~complete:false ctx ~alphabet ~depth:d
+              ~lhs:(Spec.tset Ex.rw) ~proj:(Spec.alpha Ex.write)
+              ~rhs:(Spec.tset Ex.write))
       in
-      let v1, ms1 = wall (run 1) in
-      let _v4, ms4 = wall (run 4) in
-      let verdict = pp_str (Bmc.pp_verdict Trace.pp) v1 in
+      let verdict = pp_str (Bmc.pp_verdict Trace.pp) v in
       Report.add_row t
         [
           string_of_int d;
           string_of_int states;
-          Printf.sprintf "%.1f" ms1;
-          Printf.sprintf "%.1f" ms4;
+          Printf.sprintf "%.1f" ms;
           verdict;
         ];
       jrows :=
@@ -660,8 +656,7 @@ let p1 () =
           [
             ("depth", Json.Int d);
             ("reachable_states", Json.Int states);
-            ("serial_ms", Json.Float ms1);
-            ("four_domain_ms", Json.Float ms4);
+            ("serial_ms", Json.Float ms);
             ("verdict", Json.Str verdict);
           ]
         :: !jrows)
@@ -1216,13 +1211,12 @@ let p7 () =
         (List.rev !jrows)
 
 (* P8 — the on-the-fly antichain inclusion route (Def. 2 clause 3) on
-   the cold 56-pair corpus: the new Auto route (antichain with interned
-   states and memoized successor rows) against the pre-antichain Auto
-   (compile both monitors to DFAs, decide inclusion, fall back to
-   depth-cut exploration when compilation fails) and against the plain
-   bounded route.  Each route starts from a fresh context — cold
-   interning tables, cold DFA cache — which is the cost one CLI
-   invocation pays.  Verdicts are required to agree bit-for-bit
+   the cold 56-pair corpus: the Auto route (antichain with interned
+   states and memoized successor rows) against the pre-antichain route
+   ([Automata_only]: compile both monitors to DFAs and decide
+   inclusion; every corpus pair compiles).  Each route starts from a
+   fresh context — cold interning tables, cold DFA cache — which is
+   the cost one CLI invocation pays.  Verdicts are required to agree bit-for-bit
    (Verdict.equal, witnesses included); the differential suite
    enforces the same corpus-wide. *)
 let p8 () =
@@ -1260,20 +1254,8 @@ let p8 () =
   in
   let auto cctx g' g = Refine.verdict ~opts:(Refine.opts ~depth ()) cctx g' g in
   let legacy cctx g' g =
-    match
-      Refine.verdict
-        ~opts:(Refine.opts ~strategy:Refine.Automata_only ~depth ())
-        cctx g' g
-    with
-    | v -> v
-    | exception Invalid_argument _ ->
-        Refine.verdict
-          ~opts:(Refine.opts ~strategy:Refine.Bounded_only ~depth ())
-          cctx g' g
-  in
-  let bounded cctx g' g =
     Refine.verdict
-      ~opts:(Refine.opts ~strategy:Refine.Bounded_only ~depth ())
+      ~opts:(Refine.opts ~strategy:Refine.Automata_only ~depth ())
       cctx g' g
   in
   let pairs_c =
@@ -1307,7 +1289,6 @@ let p8 () =
     List.fold_left min (warm_once ()) [ warm_once (); warm_once () ]
   in
   let legacy_vs, _, legacy_ms = run_route legacy in
-  let _, _, bounded_ms = run_route bounded in
   let agree = List.for_all2 Verdict.equal auto_vs legacy_vs in
   let speedup = legacy_ms /. auto_ms in
   let t = Report.create [ "route"; "total ms"; "mean ms"; "notes" ] in
@@ -1329,7 +1310,6 @@ let p8 () =
   row "legacy auto (automata, cold)" legacy_ms
     (Printf.sprintf "verdicts agree bit-for-bit: %s"
        (if agree then "yes" else "NO"));
-  row "bounded only (cold)" bounded_ms "depth-cut exploration";
   row "speedup (legacy/antichain)" speedup "target ≥5×";
   Report.print t;
   (* Span decomposition of one cold antichain pass, for EXPERIMENTS
@@ -1382,8 +1362,6 @@ let p8 () =
           ("total_ms", Json.Float legacy_ms);
           ("verdicts_agree", Json.Bool agree);
         ];
-      Json.Obj
-        [ ("route", Json.Str "bounded_only_cold"); ("total_ms", Json.Float bounded_ms) ];
       Json.Obj
         [
           ("route", Json.Str "speedup");
@@ -2011,8 +1989,8 @@ let bechamel_tests () =
     (* P1: one exploration step cost *)
     Test.make ~name:"P1/bmc/rw-write-depth4"
       (stage (fun () ->
-           Bmc.check_inclusion ctx ~alphabet:rw_alphabet ~depth:4
-             ~lhs:(Spec.tset Ex.rw) ~proj:(Spec.alpha Ex.write)
+           Bmc.check_inclusion ~complete:false ctx ~alphabet:rw_alphabet
+             ~depth:4 ~lhs:(Spec.tset Ex.rw) ~proj:(Spec.alpha Ex.write)
              ~rhs:(Spec.tset Ex.write)));
     (* P2: automata pipeline *)
     Test.make ~name:"P2/automata/write-pipeline"

@@ -99,8 +99,8 @@ let refinement_rule ctx ~depth ~alphabet ~(refined : t) ~(abstract : t) :
     rule_outcome =
   let included lhs rhs =
     match
-      Bmc.check_inclusion ctx ~alphabet ~depth ~lhs ~proj:Eventset.full
-        ~rhs
+      Bmc.check_inclusion ~complete:false ctx ~alphabet ~depth ~lhs
+        ~proj:Eventset.full ~rhs
     with
     | Bmc.Holds c -> Some c
     | Bmc.Refuted _ -> None

@@ -11,12 +11,11 @@
     - deadlock analysis (Examples 4 and 5): reachable monitor states
       with no enabled events.
 
-    Exploration is breadth-first with structural de-duplication of
-    states.  When the reachable state space is exhausted before the
-    depth bound is hit, the verdict holds for {e all} depths over the
-    given concrete alphabet and is reported {!Exact}; otherwise it is
-    {!Bounded} by the depth.  Level expansion fans out across domains
-    via {!Posl_par.Par}. *)
+    Exploration is breadth-first over interned monitor-state ids, on
+    one domain so that witness order is canonical.  When the reachable
+    state space is exhausted, the verdict holds for {e all} depths over
+    the given concrete alphabet and is reported {!Exact}; otherwise it
+    is {!Bounded} by the depth. *)
 
 module Tset = Posl_tset.Tset
 module Event = Posl_trace.Event
@@ -44,74 +43,6 @@ type 'a verdict = Holds of confidence | Refuted of 'a
 let pp_verdict pp_refutation ppf = function
   | Holds c -> Format.fprintf ppf "holds [%a]" pp_confidence c
   | Refuted r -> Format.fprintf ppf "refuted: %a" pp_refutation r
-
-(** {1 Generic level-wise exploration}
-
-    States are pairs of a key (deduplicated structurally) and the trace
-    that reached them (shortest, by BFS). *)
-
-module Explore = struct
-  type ('k, 'a) outcome = Done of 'a | Continue of ('k * Trace.t) list
-
-  (* [run ~depth ~init ~expand] explores breadth-first from the [init]
-     keyed states.  [expand] maps a (key, witness trace) to either a
-     final result (short-circuits the whole search) or its successor
-     states.  Returns [Ok exhausted] when no result was produced, where
-     [exhausted] says whether the frontier died out before [depth]. *)
-  let run ?domains ~depth ~init ~expand () =
-    let visited = Hashtbl.create 1024 in
-    let add_visited k = Hashtbl.replace visited k () in
-    let is_visited k = Hashtbl.mem visited k in
-    List.iter (fun (k, _) -> add_visited k) init;
-    let rec level d frontier =
-      if frontier = [] then Ok true
-      else if d >= depth then Ok false
-      else begin
-        (* Each level gets its own telemetry span (closed before the
-           recursive call, so levels are siblings, not a nested chain)
-           with the frontier and successor sizes as attributes. *)
-        let outcome =
-          Telemetry.with_span "bmc.level" @@ fun () ->
-          if Telemetry.enabled () then
-            Telemetry.set_attrs
-              [ ("level", string_of_int d);
-                ("frontier", string_of_int (List.length frontier)) ];
-          (* Dynamic scheduling: successor fan-out varies widely between
-             frontier states (dead states are cheap, product closures
-             are not), which starves static partitions. *)
-          let expanded = Posl_par.Par.map_dyn ?domains expand frontier in
-          let result = ref None in
-          let next = ref [] in
-          List.iter
-            (fun outcome ->
-              match (outcome, !result) with
-              | _, Some _ -> ()
-              | Done r, None -> result := Some r
-              | Continue succs, None ->
-                  List.iter
-                    (fun (k, h) ->
-                      if not (is_visited k) then begin
-                        add_visited k;
-                        next := (k, h) :: !next
-                      end)
-                    succs)
-            expanded;
-          match !result with
-          | Some r -> `Found r
-          | None ->
-              let next = List.rev !next in
-              if Telemetry.enabled () then
-                Telemetry.set_attrs
-                  [ ("next", string_of_int (List.length next)) ];
-              `Next next
-        in
-        match outcome with
-        | `Found r -> Error r
-        | `Next next -> level (d + 1) next
-      end
-    in
-    level 0 init
-end
 
 (** {1 Self-certification}
 
@@ -158,61 +89,18 @@ let certify_deadlock ctx ~alphabet t h =
 (** {1 Trace-set inclusion under projection}
 
     [check_inclusion ctx ~alphabet ~depth ~lhs ~proj ~rhs] decides
-    whether every trace of [lhs] over the concrete [alphabet] (up to
-    [depth]) satisfies [h/proj ∈ rhs].  This is clause 3 of Def. 2 with
-    [lhs = T(Γ′)], [proj = α(Γ)], [rhs = T(Γ)]. *)
-let check_inclusion ?domains (ctx : Tset.ctx) ~(alphabet : Event.t array)
-    ~depth ~(lhs : Tset.t) ~(proj : Eventset.t) ~(rhs : Tset.t) :
-    Trace.t verdict =
-  match Tset.start ctx lhs with
-  | None -> Holds Exact (* T(Γ′) degenerate: even ε is outside it *)
-  | Some lhs0 -> (
-      match Tset.start ctx rhs with
-      | None ->
-          (* ε ∈ T(Γ′) but ε ∉ T(Γ) *)
-          Refuted (certify_inclusion ctx ~lhs ~proj ~rhs Trace.empty)
-      | Some rhs0 ->
-          let expand ((lhs_st, rhs_st), h) =
-            (* Successors are consed while scanning the alphabet in
-               order, so reverse before returning: frontier discovery
-               order must follow alphabet order for witnesses to be
-               the lexicographically-least shortest violation (the
-               canonical form every inclusion route agrees on). *)
-            let rec try_events acc = function
-              | [] -> Explore.Continue (List.rev acc)
-              | e :: rest -> (
-                  match Tset.step ctx lhs lhs_st e with
-                  | None -> try_events acc rest
-                  | Some lhs_st' ->
-                      let h' = Trace.snoc h e in
-                      if Eventset.mem e proj then
-                        match Tset.step ctx rhs rhs_st e with
-                        | None -> Explore.Done h'
-                        | Some rhs_st' ->
-                            try_events (((lhs_st', rhs_st'), h') :: acc) rest
-                      else try_events (((lhs_st', rhs_st), h') :: acc) rest)
-            in
-            try_events [] (Array.to_list alphabet)
-          in
-          (match
-             Explore.run ?domains ~depth
-               ~init:[ ((lhs0, rhs0), Trace.empty) ]
-               ~expand ()
-           with
-          | Error cex -> Refuted (certify_inclusion ctx ~lhs ~proj ~rhs cex)
-          | Ok true -> Holds Exact
-          | Ok false -> Holds (Bounded depth)))
+    whether every trace of [lhs] over the concrete [alphabet] satisfies
+    [h/proj ∈ rhs].  This is clause 3 of Def. 2 with [lhs = T(Γ′)],
+    [proj = α(Γ)], [rhs = T(Γ)].
 
-(** {1 On-the-fly antichain inclusion}
-
-    The same question as {!check_inclusion}, decided by exploring the
-    product of the [lhs] monitor against the [rhs] monitor on interned
-    small-int state ids with memoized successor rows.  Frontier pairs
-    are de-duplicated by packed [(lhs, rhs)] id; when the rhs state is
-    a [Product] (the one genuinely set-shaped state kind — its
-    hidden-event closure is a subset construction over composites), a
-    pair is additionally pruned when an already-visited pair with the
-    same lhs state has a ⊆-smaller rhs macro-state ({!Antichain}).
+    It is decided on the fly by exploring the product of the [lhs]
+    monitor against the [rhs] monitor on interned small-int state ids
+    with memoized successor rows.  Frontier pairs are de-duplicated by
+    packed [(lhs, rhs)] id; when the rhs state is a [Product] (the one
+    genuinely set-shaped state kind — its hidden-event closure is a
+    subset construction over composites), a pair is additionally
+    pruned when an already-visited pair with the same lhs state has a
+    ⊆-smaller rhs macro-state ({!Antichain}).
 
     Exhaustion of the (pruned) frontier is still [Exact]: macro
     stepping is monotone, so everything reachable from a pruned pair
@@ -224,13 +112,12 @@ let check_inclusion ?domains (ctx : Tset.ctx) ~(alphabet : Event.t array)
     With [complete] (default), exploration continues past [depth]
     until exhaustion (reported [Exact]) or until more than [budget]
     pairs have been admitted (reported [Bounded depth]); with
-    [~complete:false] it stops at [depth] exactly like
-    {!check_inclusion}. *)
+    [~complete:false] it stops at [depth]. *)
 exception Cex of Trace.t
 
-let check_inclusion_antichain ?domains:_ ?(complete = true)
-    ?(budget = 200_000) (ctx : Tset.ctx) ~(alphabet : Event.t array) ~depth
-    ~(lhs : Tset.t) ~(proj : Eventset.t) ~(rhs : Tset.t) : Trace.t verdict =
+let check_inclusion ?(complete = true) ?(budget = 200_000) (ctx : Tset.ctx)
+    ~(alphabet : Event.t array) ~depth ~(lhs : Tset.t) ~(proj : Eventset.t)
+    ~(rhs : Tset.t) : Trace.t verdict =
   match rhs with
   | Tset.All ->
       (* h/proj ∈ All for every h: clause 3 holds outright, with the
@@ -362,20 +249,20 @@ let check_inclusion_antichain ?domains:_ ?(complete = true)
           result))
 
 (** Bounded trace-set equality: inclusion both ways over the same
-    concrete alphabet (no projection), on the antichain engine with
-    plain depth-bounded semantics. *)
-let check_equal ?domains ctx ~alphabet ~depth ~(left : Tset.t)
-    ~(right : Tset.t) : (Trace.t * [ `Left_only | `Right_only ]) verdict =
+    concrete alphabet (no projection), with plain depth-bounded
+    semantics. *)
+let check_equal ctx ~alphabet ~depth ~(left : Tset.t) ~(right : Tset.t) :
+    (Trace.t * [ `Left_only | `Right_only ]) verdict =
   let keep_all = Eventset.full in
   match
-    check_inclusion_antichain ?domains ~complete:false ctx ~alphabet ~depth
-      ~lhs:left ~proj:keep_all ~rhs:right
+    check_inclusion ~complete:false ctx ~alphabet ~depth ~lhs:left
+      ~proj:keep_all ~rhs:right
   with
   | Refuted h -> Refuted (h, `Left_only)
   | Holds c1 -> (
       match
-        check_inclusion_antichain ?domains ~complete:false ctx ~alphabet
-          ~depth ~lhs:right ~proj:keep_all ~rhs:left
+        check_inclusion ~complete:false ctx ~alphabet ~depth ~lhs:right
+          ~proj:keep_all ~rhs:left
       with
       | Refuted h -> Refuted (h, `Right_only)
       | Holds c2 ->
@@ -392,8 +279,8 @@ let check_equal ?domains ctx ~alphabet ~depth ~(left : Tset.t)
     specification over the given alphabet (Examples 4 and 5 of the
     paper; total deadlock at the start corresponds to a trace set that
     is just {ε}). *)
-let find_deadlock ?domains:_ ctx ~(alphabet : Event.t array) ~depth
-    (t : Tset.t) : Trace.t option =
+let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
+    Trace.t option =
   match Tset.start ctx t with
   | None ->
       (* not even ε: degenerate, report as stuck *)
@@ -402,8 +289,7 @@ let find_deadlock ?domains:_ ctx ~(alphabet : Event.t array) ~depth
       (* Interned-id BFS over memoized successor rows: a state whose
          whole row is dead is a deadlock.  Discovery order follows
          alphabet order, so the first dead state found carries the
-         lexicographically-least shortest witness — the same trace the
-         level-wise exploration used to report. *)
+         lexicographically-least shortest witness. *)
       let alphabet = Array.map (Tset.hashcons_event ctx) alphabet in
       let n = Array.length alphabet in
       let rows = Hashtbl.create 256 in

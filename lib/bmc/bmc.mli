@@ -4,9 +4,10 @@
     set-algebraic all reduce to reachability over products of monitors:
     projected trace-set inclusion (Def. 2 clause 3), trace-set equality
     (Example 6), and deadlock (Examples 4–5).  Exploration is
-    breadth-first with structural de-duplication; when the reachable
-    space is exhausted before the depth bound, the verdict holds for
-    {e all} depths over the given alphabet and is reported {!Exact}.
+    breadth-first over interned monitor-state ids, on one domain so
+    that witness order is canonical; when the reachable space is
+    exhausted, the verdict holds for {e all} depths over the given
+    alphabet and is reported {!Exact}.
 
     Every counterexample ({!check_inclusion}, {!check_equal},
     {!find_deadlock}) is {e self-certifying}: it is replayed through the
@@ -31,21 +32,6 @@ val pp_verdict :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a verdict -> unit
 
 val check_inclusion :
-  ?domains:int ->
-  Tset.ctx ->
-  alphabet:Event.t array ->
-  depth:int ->
-  lhs:Tset.t ->
-  proj:Eventset.t ->
-  rhs:Tset.t ->
-  Trace.t verdict
-(** Does every trace of [lhs] over [alphabet] (up to [depth]) satisfy
-    [h/proj ∈ rhs]?  Clause 3 of Def. 2 is
-    [lhs = T(Γ′), proj = α(Γ), rhs = T(Γ)].  Refutations carry a
-    genuine [lhs] trace. *)
-
-val check_inclusion_antichain :
-  ?domains:int ->
   ?complete:bool ->
   ?budget:int ->
   Tset.ctx ->
@@ -55,24 +41,23 @@ val check_inclusion_antichain :
   proj:Eventset.t ->
   rhs:Tset.t ->
   Trace.t verdict
-(** The same question as {!check_inclusion}, decided on-the-fly over
-    interned state ids with memoized successor rows, pruning frontier
-    pairs whose rhs macro-state ([Product] subset construction) is
-    subsumed by an already-visited one ({!Antichain}).  Refutations
-    are the lexicographically-least shortest violating trace — the
-    same canonical witness the automata route produces — and are
-    self-certified as in {!check_inclusion}.
+(** Does every trace of [lhs] over [alphabet] satisfy [h/proj ∈ rhs]?
+    Clause 3 of Def. 2 is [lhs = T(Γ′), proj = α(Γ), rhs = T(Γ)].
+    Decided on the fly over interned state ids with memoized successor
+    rows, pruning frontier pairs whose rhs macro-state ([Product]
+    subset construction) is subsumed by an already-visited one
+    ({!Antichain}).  Refutations carry a genuine [lhs] trace: the
+    lexicographically-least shortest violating one, the same canonical
+    witness the compiled-automata route produces.
 
     With [complete] (default [true]), exploration continues past
     [depth] until the frontier is exhausted ([Exact]) or more than
     [budget] (default 200_000) pairs have been admitted
     ([Bounded depth]); with [~complete:false] it cuts at [depth]
-    exactly like {!check_inclusion}.  [?domains] is accepted for
-    interface parity and ignored: the scan is sequential so witness
-    order is canonical. *)
+    ([Exact] only when the frontier dies out first).  A hidden-event
+    closure that overflows ({!Tset.Closure_overflow}) propagates. *)
 
 val check_equal :
-  ?domains:int ->
   Tset.ctx ->
   alphabet:Event.t array ->
   depth:int ->
@@ -82,12 +67,7 @@ val check_equal :
 (** Bounded trace-set equality over the same alphabet. *)
 
 val find_deadlock :
-  ?domains:int ->
-  Tset.ctx ->
-  alphabet:Event.t array ->
-  depth:int ->
-  Tset.t ->
-  Trace.t option
+  Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> Trace.t option
 (** A shortest reachable trace after which no event of the alphabet is
     enabled, if any. *)
 

@@ -76,9 +76,9 @@ let to_spec ?(name = "component") t =
     belongs to the specification's trace set.  Checked by exploration
     over a concrete universe; [Exact] verdicts are exact for that
     universe. *)
-let sound ?domains ctx ~depth (spec : Spec.t) (t : t) :
+let sound ctx ~depth (spec : Spec.t) (t : t) :
     Trace.t Posl_bmc.Bmc.verdict =
   let u = Tset.universe ctx in
   let alphabet = Array.of_list (Eventset.sample u (alpha t)) in
-  Posl_bmc.Bmc.check_inclusion ?domains ctx ~alphabet ~depth ~lhs:(tset t)
-    ~proj:(Spec.alpha spec) ~rhs:(Spec.tset spec)
+  Posl_bmc.Bmc.check_inclusion ~complete:false ctx ~alphabet ~depth
+    ~lhs:(tset t) ~proj:(Spec.alpha spec) ~rhs:(Spec.tset spec)

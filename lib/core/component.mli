@@ -42,7 +42,6 @@ val to_spec : ?name:string -> t -> Spec.t
     its most concrete description. *)
 
 val sound :
-  ?domains:int ->
   Tset.ctx ->
   depth:int ->
   Spec.t ->

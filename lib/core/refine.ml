@@ -70,19 +70,17 @@ let trace_clause_automata ctx ~(alphabet : Event.t array) ~(proj : Eventset.t)
               in
               Some (Error h)))
 
-type strategy = Auto | Antichain_only | Automata_only | Bounded_only
+type strategy = Auto | Automata_only
+type opts = { strategy : strategy; depth : int }
 
-type opts = { strategy : strategy; domains : int option; depth : int }
-
-let opts ?(strategy = Auto) ?domains ?(depth = 6) () =
-  { strategy; domains; depth }
+let opts ?(strategy = Auto) ?(depth = 6) () = { strategy; depth }
 
 let default_opts = opts ()
 
 (* The clause checks, with the decision procedure that settled the
    question (clause 1–2 failures are symbolic; clause 3 is decided by
-   automata, antichain exploration, or bounded exploration). *)
-let decide ?domains ~strategy ctx ~depth (gamma' : Spec.t) (gamma : Spec.t) :
+   compiled automata or on-the-fly exploration). *)
+let decide ~strategy ctx ~depth (gamma' : Spec.t) (gamma : Spec.t) :
     result * Verdict.procedure =
   Posl_telemetry.Telemetry.with_span "refine.check"
     ~attrs:[ ("depth", string_of_int depth) ]
@@ -103,7 +101,7 @@ let decide ?domains ~strategy ctx ~depth (gamma' : Spec.t) (gamma : Spec.t) :
       let proj = Spec.alpha gamma in
       (* The automata route decides inclusion on compiled DFAs, so its
          counterexamples are replayed through the reference semantics
-         just like the explorations' (which certify internally). *)
+         just like the exploration's (which certifies internally). *)
       let certify h =
         Posl_telemetry.Telemetry.with_span "verdict.certify"
           ~attrs:[ ("kind", "automata-inclusion") ]
@@ -122,23 +120,14 @@ let decide ?domains ~strategy ctx ~depth (gamma' : Spec.t) (gamma : Spec.t) :
         try trace_clause_automata ctx ~alphabet ~proj ~lhs ~rhs
         with Tset.Closure_overflow _ -> None
       in
-      let bounded () =
-        ( (match
-             Bmc.check_inclusion ?domains ctx ~alphabet ~depth ~lhs ~proj ~rhs
-           with
-          | Bmc.Holds c -> Ok c
-          | Bmc.Refuted h -> Error (Trace_escape h)),
-          Verdict.Bounded_search )
-      in
       (* On-the-fly inclusion with antichain subsumption: an exhausted
          (or refuted) run is a lazy automata-theoretic inclusion
          decision and is labelled as such — same claim, same canonical
          lex-least witness as the compiled-DFA route; only a
          budget/depth cut is a bounded search. *)
-      let antichain () =
+      let explore ~complete =
         match
-          Bmc.check_inclusion_antichain ?domains ctx ~alphabet ~depth ~lhs
-            ~proj ~rhs
+          Bmc.check_inclusion ~complete ctx ~alphabet ~depth ~lhs ~proj ~rhs
         with
         | Bmc.Holds Bmc.Exact -> (Ok Bmc.Exact, Verdict.Automata)
         | Bmc.Holds (Bmc.Bounded _ as c) -> (Ok c, Verdict.Bounded_search)
@@ -153,14 +142,13 @@ let decide ?domains ~strategy ctx ~depth (gamma' : Spec.t) (gamma : Spec.t) :
           | None ->
               invalid_arg
                 "Refine.verdict: automata strategy failed to compile monitors")
-      | Bounded_only -> bounded ()
-      | Antichain_only -> antichain ()
       | Auto -> (
-          (* A hidden-event closure can overflow during antichain
-             exploration past the depth bound (it explores to
-             exhaustion); the depth-cut bounded route then plays the
-             same fallback role it does for a failed compilation. *)
-          try antichain () with Tset.Closure_overflow _ -> bounded ())
+          (* A hidden-event closure can overflow while exploration runs
+             past the depth bound toward exhaustion; the same explorer
+             cut at the depth then answers.  An overflow inside the
+             bound propagates. *)
+          try explore ~complete:true
+          with Tset.Closure_overflow _ -> explore ~complete:false)
     end
 
 (* The typed-evidence view of a failure.  [proj] is α(Γ), used to
@@ -180,8 +168,8 @@ let evidence_of_failure ~proj = function
     ({!Verdict.Uncertified} on disagreement). *)
 let verdict ?(opts = default_opts) ctx (gamma' : Spec.t) (gamma : Spec.t) :
     Verdict.t =
-  let { strategy; domains; depth } = opts in
-  let result, procedure = decide ?domains ~strategy ctx ~depth gamma' gamma in
+  let { strategy; depth } = opts in
+  let result, procedure = decide ~strategy ctx ~depth gamma' gamma in
   let v =
     match result with
     | Ok c -> Verdict.holds ~confidence:c ()

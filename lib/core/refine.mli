@@ -20,25 +20,21 @@ module Verdict = Posl_verdict.Verdict
 
 type strategy =
   | Auto
-      (** on-the-fly antichain inclusion; depth-cut bounded
-          exploration as fallback on closure overflow *)
-  | Antichain_only
-      (** on-the-fly product/inclusion with antichain subsumption
-          ({!Posl_bmc.Bmc.check_inclusion_antichain}) *)
+      (** on-the-fly antichain inclusion ({!Posl_bmc.Bmc.check_inclusion});
+          on closure overflow past the depth bound, the same explorer
+          cut at the depth *)
   | Automata_only
       (** compiled-DFA language inclusion; raise if the monitors do
-          not compile *)
-  | Bounded_only  (** depth-cut level-wise exploration *)
+          not compile — the exact oracle of the differential tests *)
 
 type opts = {
   strategy : strategy;
-  domains : int option;  (** worker domains for the bounded route *)
   depth : int;
       (** bound of (and reported by) depth-cut exploration; default 6 *)
 }
 
-val opts : ?strategy:strategy -> ?domains:int -> ?depth:int -> unit -> opts
-(** Defaults: [Auto], no domain override, depth 6. *)
+val opts : ?strategy:strategy -> ?depth:int -> unit -> opts
+(** Defaults: [Auto], depth 6. *)
 
 val default_opts : opts
 (** [opts ()]. *)
@@ -53,7 +49,13 @@ val verdict : ?opts:opts -> Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
     counterexamples) and [Bounded_search] for a depth-cut run.
     Counterexamples from every route are certified against
     [Tset.mem_naive] before being reported
-    ({!Verdict.Uncertified} on disagreement). *)
+    ({!Verdict.Uncertified} on disagreement).
+
+    A hidden-event closure that overflows its cap
+    ({!Tset.Closure_overflow}) beyond [depth] makes [Auto] fall back to
+    the depth cut; one that overflows within [depth] propagates to the
+    caller — it is never reported as a verdict, in particular never as
+    an [Exact] one. *)
 
 val refines : ?opts:opts -> Tset.ctx -> Spec.t -> Spec.t -> bool
 (** [Verdict.is_holds] of {!verdict}. *)

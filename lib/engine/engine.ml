@@ -4,9 +4,9 @@
     Design notes.
 
     - {e Batch-level parallelism only.}  Jobs fan out over
-      {!Posl_par.Par.map_dyn}; each job's own exploration runs with
-      [~domains:1].  Nesting domain pools oversubscribes the machine,
-      and verification batches have enough inter-job parallelism.
+      {!Posl_par.Par.map_dyn}; each job's own exploration is serial
+      (its witness order is canonical), and verification batches have
+      enough inter-job parallelism.
     - {e Shared monitor contexts.}  [Tset.ctx] is abstract and its
       compiled-automata memo is a lock-striped {!Posl_tset.Prs_cache},
       so one context per universe is shared by {e all} worker domains:
@@ -226,7 +226,7 @@ let rec answer ?(plan = Plan.Auto) s counters req =
     Digest.query ~universe:req.universe ~depth:req.depth req.query
   in
   let compute_direct () =
-    Job.run ~domains:1 (session_ctx s req.universe) ~depth:req.depth req.query
+    Job.run (session_ctx s req.universe) ~depth:req.depth req.query
   in
   (* The planner sits in front of direct checking, inside the cache
      lookup: a derived verdict is produced on a cache miss and then

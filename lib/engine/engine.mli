@@ -144,7 +144,7 @@ val answer : ?plan:Plan.mode -> session -> Counters.t -> request -> result
     [?plan:Auto]; composite [Refine]/[Equal] queries whose theorem
     side conditions hold are derived from component sub-verdicts,
     which recurse through [answer] and so land in the same cache and
-    store), and finally direct computation with [Job.run ~domains:1].
+    store), and finally direct computation with {!Job.run}.
     Derived verdicts are cached and stored under the composite query's
     digest like computed ones.  Safe to call concurrently from any
     number of threads or domains — this is the unit of work the

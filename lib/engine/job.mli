@@ -50,12 +50,10 @@ val specs : query -> Spec.t list
 val describe : query -> string
 (** E.g. ["Read2 ⊑ Read"], ["Client ‖ WriteAcc"]. *)
 
-val run : ?domains:int -> Tset.ctx -> depth:int -> query -> verdict
-(** Decide the query over [ctx]'s universe.  [domains] is forwarded to
-    the state-space exploration (the engine passes [~domains:1] so that
-    parallelism lives at the batch level only).  Deterministic: equal
-    inputs produce {!Verdict.equal} verdicts, whatever the domain
-    count. *)
+val run : Tset.ctx -> depth:int -> query -> verdict
+(** Decide the query over [ctx]'s universe, serially: parallelism lives
+    at the batch level only ({!Engine.run_jobs}).  Deterministic: equal
+    inputs produce {!Verdict.equal} verdicts. *)
 
 val universe_digest : Posl_ident.Universe.t -> string
 (** MD5 (hex) over the universe's canonical rendering — the

@@ -1,10 +1,9 @@
 (** Minimal fork/join parallelism over OCaml 5 domains.
 
-    The state-space exploration of {!Posl_bmc} expands breadth-first
-    levels whose items are independent, which static partitioning over a
-    handful of domains serves well.  The sealed build environment has no
-    domainslib, so this module provides the one combinator we need —
-    a deterministic parallel [map] — on stock [Domain]s.
+    The verification engine fans independent jobs out over a handful of
+    domains.  The sealed build environment has no domainslib, so this
+    module provides the one combinator we need — a deterministic
+    parallel [map] with a dynamic work queue — on stock [Domain]s.
 
     Exceptions raised by worker tasks are re-raised in the caller, after
     all domains have joined. *)
@@ -17,54 +16,18 @@ let default_domains () =
       | Some _ | None -> 1)
   | None -> min 4 (Domain.recommended_domain_count ())
 
-(** [map ~domains f xs] = [List.map f xs], computed by [domains] domains
-    over a static block partition.  [domains <= 1], or a short input,
-    degrades to the sequential map. *)
-let map ?domains f xs =
-  let domains = match domains with Some d -> d | None -> default_domains () in
-  let input = Array.of_list xs in
-  let n = Array.length input in
-  if domains <= 1 || n < 2 * domains then List.map f xs
-  else begin
-    let output = Array.make n None in
-    let errors = Array.make domains None in
-    let chunk = (n + domains - 1) / domains in
-    let worker d () =
-      let lo = d * chunk and hi = min n ((d + 1) * chunk) in
-      try
-        for i = lo to hi - 1 do
-          output.(i) <- Some (f input.(i))
-        done
-      with exn -> errors.(d) <- Some exn
-    in
-    let spawned =
-      List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-    in
-    worker 0 ();
-    List.iter Domain.join spawned;
-    Array.iter (function Some exn -> raise exn | None -> ()) errors;
-    Array.to_list
-      (Array.map
-         (function
-           | Some y -> y
-           | None -> invalid_arg "Par.map: missing result (worker died)")
-         output)
-  end
-
 (** [map_dyn ~domains f xs] = [List.map f xs], computed by [domains]
-    domains pulling indices from a shared mutex-protected queue.  Where
-    {!map} assigns each domain a fixed block up front, [map_dyn] lets
-    fast workers take over the stragglers' backlog, so uneven per-item
-    cost (verification jobs, skewed monitor expansions) no longer
-    leaves domains idle.  A condition variable is unnecessary: the work
+    domains pulling indices from a shared mutex-protected queue, so
+    fast workers take over the stragglers' backlog and uneven per-item
+    cost (verification jobs) does not leave domains idle.  A condition variable is unnecessary: the work
     list is fixed at the start, so an empty queue means done, never
     "wait for a producer".
 
     Results are order-stable; the first worker exception is re-raised
     in the caller after all domains have joined (remaining queue items
-    are abandoned once an exception is recorded).  Degrades to the
-    sequential map under the same [domains <= 1 || n < 2 * domains]
-    rule as {!map}. *)
+    are abandoned once an exception is recorded).  [domains <= 1], or
+    a short input ([n < 2 * domains]), degrades to the sequential
+    map. *)
 let map_dyn ?domains f xs =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let input = Array.of_list xs in
@@ -103,5 +66,3 @@ let map_dyn ?domains f xs =
            | None -> invalid_arg "Par.map_dyn: missing result (worker died)")
          output)
   end
-
-let iter ?domains f xs = ignore (map ?domains (fun x -> f x; ()) xs)

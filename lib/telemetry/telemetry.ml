@@ -9,8 +9,8 @@
      concurrent requests would inherit each other's parentage and
      trace ids.  Rings are single-writer (the owning thread) and
      registered in a global list so they survive thread and domain
-     exit: [Par.map]/[Par.map_dyn] spawn fresh domains on every call,
-     and their spans must still be readable after the join.
+     exit: [Par.map_dyn] spawns fresh domains on every call, and
+     their spans must still be readable after the join.
 
    - The thread -> ring map is a mutex-protected table; the owning
      thread caches its binding in [Domain.DLS], so the lock is only

@@ -15,8 +15,8 @@
 
     {!spans}, {!trace_json} and {!reset} read every domain's ring and
     must only be called when no worker domain is recording (i.e. after
-    the parallel section has joined — [Par.map]/[Par.map_dyn] and
-    [Engine.run_batch] all join before returning). *)
+    the parallel section has joined — [Par.map_dyn] and
+    [Engine.run_batch] both join before returning). *)
 
 type span = {
   id : int;  (** process-unique, strictly positive *)

@@ -1,5 +1,5 @@
-(* The state-space exploration engine: inclusion, equality, deadlock,
-   counting, enumeration, and serial/parallel agreement. *)
+(* The state-space exploration engine: inclusion, deadlock, counting
+   and enumeration. *)
 
 module Bmc = Posl_bmc.Bmc
 module Tset = Posl_tset.Tset
@@ -13,7 +13,6 @@ module Gen = Posl_gen.Gen
 let ctx = Util.paper_ctx
 let u = Util.paper_universe
 
-let read_alphabet = Spec.concrete_alphabet u Ex.read
 let write_alphabet = Spec.concrete_alphabet u Ex.write
 
 let test_count_matches_enumerate () =
@@ -36,29 +35,44 @@ let test_enumerate_members_only () =
     traces
 
 let test_inclusion_positive () =
-  (* T(Read2) projected on α(Read) is included in T(Read) = All. *)
-  let alphabet = Spec.concrete_alphabet u Ex.read2 in
-  match
-    Bmc.check_inclusion ctx ~alphabet ~depth:5 ~lhs:(Spec.tset Ex.read2)
-      ~proj:(Spec.alpha Ex.read) ~rhs:(Spec.tset Ex.read)
-  with
-  | Bmc.Holds _ -> ()
-  | Bmc.Refuted h -> Alcotest.failf "unexpected refutation: %a" Trace.pp h
+  (* T(Read2) projected on α(Read) is included in T(Read) = All, and
+     T(RW) projected on α(Write) in T(Write) — the latter through a
+     real product exploration, both to exhaustion and at the cut. *)
+  let holds g' g complete =
+    let alphabet = Spec.concrete_alphabet u g' in
+    match
+      Bmc.check_inclusion ~complete ctx ~alphabet ~depth:5 ~lhs:(Spec.tset g')
+        ~proj:(Spec.alpha g) ~rhs:(Spec.tset g)
+    with
+    | Bmc.Holds _ -> ()
+    | Bmc.Refuted h -> Alcotest.failf "unexpected refutation: %a" Trace.pp h
+  in
+  List.iter
+    (fun complete ->
+      holds Ex.read2 Ex.read complete;
+      holds Ex.rw Ex.write complete)
+    [ true; false ]
 
 let test_inclusion_negative_witness () =
   (* T(RW) projected on α(Read2) escapes T(Read2); the witness must be a
-     genuine member of T(RW) whose projection escapes. *)
+     genuine member of T(RW) whose projection escapes, and the
+     canonical one the brute-force oracle finds. *)
   let alphabet = Spec.concrete_alphabet u Ex.rw in
+  let lhs = Spec.tset Ex.rw
+  and proj = Spec.alpha Ex.read2
+  and rhs = Spec.tset Ex.read2 in
   match
-    Bmc.check_inclusion ctx ~alphabet ~depth:5 ~lhs:(Spec.tset Ex.rw)
-      ~proj:(Spec.alpha Ex.read2) ~rhs:(Spec.tset Ex.read2)
+    Bmc.check_inclusion ~complete:false ctx ~alphabet ~depth:4 ~lhs ~proj ~rhs
   with
   | Bmc.Holds _ -> Alcotest.fail "expected refutation"
   | Bmc.Refuted h ->
-      Util.check_bool "witness in T(RW)" true (Tset.mem ctx (Spec.tset Ex.rw) h);
+      Util.check_bool "witness in T(RW)" true (Tset.mem ctx lhs h);
       Util.check_bool "projection escapes" false
-        (Tset.mem ctx (Spec.tset Ex.read2)
-           (Eventset.restrict_trace (Spec.alpha Ex.read2) h))
+        (Tset.mem ctx rhs (Eventset.restrict_trace proj h));
+      Alcotest.(check (option Util.trace))
+        "canonical witness"
+        (Util.depth_cut_oracle ctx ~alphabet ~depth:4 ~lhs ~proj ~rhs)
+        (Some h)
 
 let test_deadlock_client2 () =
   (* Example 5: T(Client2‖WriteAcc) = {ε}. *)
@@ -89,27 +103,17 @@ let test_enabled () =
     enabled
 
 let test_exact_on_exhaustion () =
-  (* Read's monitor has one state: exploration exhausts immediately and
-     the verdict is exact even with a huge depth. *)
+  (* Write's monitor has finitely many states: even cut at a huge
+     depth, the product frontier of Write against itself dies out and
+     the verdict is exact. *)
   match
-    Bmc.check_inclusion ctx ~alphabet:read_alphabet ~depth:1_000_000
-      ~lhs:(Spec.tset Ex.read) ~proj:(Spec.alpha Ex.read)
-      ~rhs:(Spec.tset Ex.read)
+    Bmc.check_inclusion ~complete:false ctx ~alphabet:write_alphabet
+      ~depth:1_000_000 ~lhs:(Spec.tset Ex.write) ~proj:(Spec.alpha Ex.write)
+      ~rhs:(Spec.tset Ex.write)
   with
   | Bmc.Holds Bmc.Exact -> ()
   | Bmc.Holds (Bmc.Bounded _) -> Alcotest.fail "expected exhaustion"
   | Bmc.Refuted _ -> Alcotest.fail "reflexive inclusion refuted"
-
-let test_parallel_agrees_with_serial () =
-  let alphabet = Spec.concrete_alphabet u Ex.rw in
-  let run domains =
-    Bmc.check_inclusion ~domains ctx ~alphabet ~depth:4 ~lhs:(Spec.tset Ex.rw)
-      ~proj:(Spec.alpha Ex.write) ~rhs:(Spec.tset Ex.write)
-  in
-  match (run 1, run 4) with
-  | Bmc.Holds _, Bmc.Holds _ -> ()
-  | Bmc.Refuted _, Bmc.Refuted _ -> ()
-  | _, _ -> Alcotest.fail "serial and parallel disagree"
 
 let test_count_states () =
   let n = Bmc.count_states ctx ~alphabet:write_alphabet ~depth:6 (Spec.tset Ex.write) in
@@ -137,8 +141,9 @@ let qsuite =
     Util.qtest ~count:40 "reflexive inclusion always holds"
       (Gen.tset_within sc probes) (fun t ->
         match
-          Bmc.check_inclusion gctx ~alphabet:(Array.of_list probes) ~depth:3
-            ~lhs:t ~proj:Eventset.full ~rhs:t
+          Bmc.check_inclusion ~complete:false gctx
+            ~alphabet:(Array.of_list probes) ~depth:3 ~lhs:t ~proj:Eventset.full
+            ~rhs:t
         with
         | Bmc.Holds _ -> true
         | Bmc.Refuted _ -> false);
@@ -159,8 +164,6 @@ let suite =
       test_no_deadlock_client;
     Alcotest.test_case "enabled events" `Quick test_enabled;
     Alcotest.test_case "exact on exhaustion" `Quick test_exact_on_exhaustion;
-    Alcotest.test_case "parallel agrees with serial" `Quick
-      test_parallel_agrees_with_serial;
     Alcotest.test_case "count_states" `Quick test_count_states;
   ]
   @ qsuite

@@ -43,26 +43,38 @@ let test_automata_only_raises_on_opaque () =
          documented exception. *)
       ()
 
-let test_bounded_only_labels_depth () =
-  (* An infinite-state lhs with behaviour that never dies: bounded
-     exploration cannot exhaust it, so the verdict carries the depth. *)
+let test_bounded_labels_depth () =
+  (* An infinite-state lhs with behaviour that never dies: Pointwise
+     monitors are not finitary, so Auto explores only up to the cut,
+     cannot exhaust it, and the verdict carries the depth.  (The rhs is
+     Growing itself: against Read = All, Auto holds outright.) *)
   let growing =
     Spec.v ~name:"Growing" ~objs:[ Ex.o ]
       ~alpha:(Spec.alpha Ex.read)
       (Tset.pointwise "all" (fun _ -> true))
   in
-  let v =
-    Refine.verdict
-      ~opts:(Refine.opts ~strategy:Refine.Bounded_only ~depth:3 ())
-      ctx growing Ex.read
-  in
+  let v = Refine.verdict ~opts:(Refine.opts ~depth:3 ()) ctx growing growing in
   if not (Verdict.is_holds v) then
-    Alcotest.failf "Growing ⊑ Read: %s" (Verdict.to_string v)
-  else
-    match v.Verdict.confidence with
+    Alcotest.failf "Growing ⊑ Growing: %s" (Verdict.to_string v)
+  else begin
+    (match v.Verdict.confidence with
     | Some (Bmc.Bounded 3) -> ()
     | Some c -> Alcotest.failf "expected bounded(3), got %a" Bmc.pp_confidence c
-    | None -> Alcotest.fail "expected a confidence"
+    | None -> Alcotest.fail "expected a confidence");
+    Util.check_bool "labelled bounded search" true
+      (v.Verdict.provenance.procedure = Some Verdict.Bounded_search)
+  end
+
+let test_closure_overflow_propagates () =
+  (* With the hidden-event closure capped at one state, (Read‖Client)
+     overflows within the depth bound: Auto's depth-cut fallback runs
+     into the same overflow, which must reach the caller rather than
+     become a verdict — least of all an Exact one. *)
+  let capped = Tset.with_closure_cap 1 (Tset.ctx Util.paper_universe) in
+  let rc = Posl_core.Compose.interface Ex.read Ex.client in
+  match Refine.verdict ~opts:(Refine.opts ~depth:3 ()) capped rc rc with
+  | exception Tset.Closure_overflow _ -> ()
+  | v -> Alcotest.failf "expected Closure_overflow, got %s" (Verdict.to_string v)
 
 let test_with_name () =
   let s = Spec.with_name "Renamed" Ex.read in
@@ -94,7 +106,7 @@ let test_counterexample_is_shortest () =
   in
   check ~strategy:Refine.Automata_only;
   (* The antichain route promises the same canonical witness. *)
-  check ~strategy:Refine.Antichain_only
+  check ~strategy:Refine.Auto
 
 let suite =
   [
@@ -103,7 +115,9 @@ let suite =
     Alcotest.test_case "automata-only on opaque specs" `Quick
       test_automata_only_raises_on_opaque;
     Alcotest.test_case "bounded verdicts carry the depth" `Quick
-      test_bounded_only_labels_depth;
+      test_bounded_labels_depth;
+    Alcotest.test_case "closure overflow inside the bound propagates" `Quick
+      test_closure_overflow_propagates;
     Alcotest.test_case "with_name" `Quick test_with_name;
     Alcotest.test_case "environment of Client" `Quick
       test_environment_of_client;

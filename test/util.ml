@@ -38,3 +38,25 @@ let contains_substring ~needle haystack =
     else scan (i + 1)
   in
   nl = 0 || scan 0
+
+(* Test-only depth-cut oracle for clause 3 of Def. 2, by brute force:
+   every trace of [lhs] over [alphabet] up to [depth] ([Bmc.enumerate])
+   whose projection on [proj] fails the reference semantics of [rhs]
+   ([Tset.mem_naive]).  Returns the shortest such trace, lex-least by
+   alphabet index — the canonical witness every inclusion route must
+   report — or [None] when clause 3 holds up to [depth].  Exponential
+   in [depth]: keep it small. *)
+let depth_cut_oracle ctx ~alphabet ~depth ~lhs ~proj ~rhs =
+  let index e =
+    let rec go i = if Event.equal alphabet.(i) e then i else go (i + 1) in
+    go 0
+  in
+  let key h = (Trace.length h, List.map index (Trace.to_list h)) in
+  Posl_bmc.Bmc.enumerate ctx ~alphabet ~depth lhs
+  |> List.filter (fun h ->
+         not
+           (Tset.mem_naive ctx rhs (Posl_sets.Eventset.restrict_trace proj h)))
+  |> List.sort (fun a b -> compare (key a) (key b))
+  |> function
+  | [] -> None
+  | h :: _ -> Some h
