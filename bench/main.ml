@@ -36,7 +36,6 @@ module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
 module Plan = Posl_engine.Plan
 module Manifest = Posl_engine.Manifest
-module Vcache = Posl_engine.Cache
 module Edigest = Posl_engine.Digest
 module Store = Posl_store.Store
 module Telemetry = Posl_telemetry.Telemetry
@@ -813,15 +812,15 @@ let p4 () =
   let jrows = ref [] in
   List.iter
     (fun domains ->
-      (* fresh verdict cache AND fresh DFA registry per domain count:
-         the cold row shows compiles staying at the distinct-regex
-         count whatever the domain count (one striped cache shared by
-         all workers), the warm row answers from the verdict store *)
-      let cache = Vcache.create () in
-      let dfa_cache = Engine.dfa_cache () in
+      (* a fresh session per domain count: the cold row shows compiles
+         staying at the distinct-regex count whatever the domain count
+         (one context per universe shared by all workers), the warm row
+         re-runs on the same session and answers from its verdict
+         cache *)
+      let session = Engine.session () in
       let pass label =
         let _, (stats : Engine.stats) =
-          Engine.run_batch ~domains ~cache ~dfa_cache batch
+          Engine.run_jobs ~domains session batch
         in
         Report.add_row t
           [
@@ -890,10 +889,8 @@ let p5 () =
       ]
   in
   let jrows = ref [] in
-  let pass label ~cache store =
-    let _, (stats : Engine.stats) =
-      Engine.run_batch ~domains:1 ~cache ~store batch
-    in
+  let pass label session =
+    let _, (stats : Engine.stats) = Engine.run_jobs ~domains:1 session batch in
     Report.add_row t
       [
         label;
@@ -917,14 +914,14 @@ let p5 () =
         ]
       :: !jrows
   in
-  let cache = Vcache.create () in
   let s = Store.open_ dir in
-  pass "cold" ~cache s;
-  pass "warm in-process" ~cache s;
+  let session = Engine.session ~store:s () in
+  pass "cold" session;
+  pass "warm in-process" session;
   Store.close s;
   (* a new process: new store handle, cold in-memory verdict cache *)
   let s = Store.open_ dir in
-  pass "warm across-process" ~cache:(Vcache.create ()) s;
+  pass "warm across-process" (Engine.session ~store:s ());
   Store.close s;
   Report.print t;
   write_campaign ~name:"P5"
@@ -948,8 +945,7 @@ let p6 () =
   let batch = engine_batch ~depth:4 in
   Telemetry.reset ();
   Telemetry.set_enabled true;
-  let cache = Vcache.create () in
-  let _ = Engine.run_batch ~domains:1 ~cache batch in
+  let _ = Engine.run_batch ~domains:1 batch in
   Telemetry.set_enabled false;
   let spans = Telemetry.spans () in
   let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
@@ -999,8 +995,8 @@ let p6 () =
    generator sweeps the client count at repeat ratio 0.5 — half the
    stream resubmits uniformly random earlier queries, which is exactly
    the traffic the warm caches exist for.  The baseline row answers
-   the same stream cold: one fresh engine (empty verdict cache, empty
-   DFA registry) per query, serially — the cost a per-invocation CLI
+   the same stream cold: one fresh session (empty verdict cache, no
+   compiled automata) per query, serially — the cost a per-invocation CLI
    pays for every question. *)
 let p7 () =
   Report.section
@@ -1100,15 +1096,12 @@ let p7 () =
       let lats =
         List.map
           (fun (g', g) ->
-            let cache = Vcache.create () in
-            let dfa_cache = Engine.dfa_cache () in
             let req =
               Engine.request ~depth:p7_depth ~universe:u7
                 (Job.Refine { refined = g'; abstract = g })
             in
             let _, ms =
-              wall (fun () ->
-                  ignore (Engine.run_batch ~domains:1 ~cache ~dfa_cache [ req ]))
+              wall (fun () -> ignore (Engine.run_batch ~domains:1 [ req ]))
             in
             ms)
           pairs
@@ -1438,32 +1431,29 @@ let p9 () =
   let reps = 5 in
   let run_route plan =
     let once () =
+      let session = Engine.session () in
       let t0 = Unix.gettimeofday () in
-      let results, stats = Engine.run_batch ~domains:1 ~plan requests in
-      (results, stats, (Unix.gettimeofday () -. t0) *. 1000.)
+      let results, stats = Engine.run_jobs ~domains:1 ~plan session requests in
+      (results, stats, (Unix.gettimeofday () -. t0) *. 1000., session)
     in
     let best = ref (once ()) in
     for _ = 2 to reps do
-      let (_, _, ms) as r = once () in
-      let _, _, best_ms = !best in
+      let (_, _, ms, _) as r = once () in
+      let _, _, best_ms, _ = !best in
       if ms < best_ms then best := r
     done;
     !best
   in
-  let off_vs, (off_stats : Engine.stats), off_ms = run_route Plan.Off in
-  let auto_vs, (auto_stats : Engine.stats), auto_ms = run_route Plan.Auto in
-  (* Warm pass: same batch against the caches the cold planner pass
-     populated — every composite (and every premise) is a hit. *)
-  let cache = Vcache.create () in
-  let dfa = Engine.dfa_cache () in
-  let _ =
-    Engine.run_batch ~domains:1 ~plan:Plan.Auto ~cache ~dfa_cache:dfa requests
+  let off_vs, (off_stats : Engine.stats), off_ms, _ = run_route Plan.Off in
+  let auto_vs, (auto_stats : Engine.stats), auto_ms, auto_session =
+    run_route Plan.Auto
   in
+  (* Warm pass: same batch on the session the cold planner pass
+     populated — every composite (and every premise) is a hit. *)
   let warm_once () =
     let t0 = Unix.gettimeofday () in
     let _, (s : Engine.stats) =
-      Engine.run_batch ~domains:1 ~plan:Plan.Auto ~cache ~dfa_cache:dfa
-        requests
+      Engine.run_jobs ~domains:1 ~plan:Plan.Auto auto_session requests
     in
     (s, (Unix.gettimeofday () -. t0) *. 1000.)
   in
@@ -2017,9 +2007,9 @@ let bechamel_tests () =
     Test.make ~name:"P4/engine/warm-batch"
       (stage
          (let batch = engine_batch ~depth:3 in
-          let cache = Vcache.create () in
-          let _ = Engine.run_batch ~domains:1 ~cache batch in
-          fun () -> Engine.run_batch ~domains:1 ~cache batch));
+          let session = Engine.session () in
+          let _ = Engine.run_jobs ~domains:1 session batch in
+          fun () -> Engine.run_jobs ~domains:1 session batch));
   ]
 
 let run_bechamel () =

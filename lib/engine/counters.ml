@@ -11,7 +11,8 @@
 module Metrics = Posl_telemetry.Metrics
 
 let jobs_c =
-  Metrics.counter ~help:"Jobs answered by Engine.run_batch (cached or computed)"
+  Metrics.counter
+    ~help:"Jobs answered by Engine.answer, batch or served (cached or computed)"
     "posl_engine_jobs_total"
 
 let hits_c =
@@ -54,21 +55,12 @@ let busy_ns_c =
   Metrics.counter ~help:"Summed per-job wall time, nanoseconds"
     "posl_engine_busy_ns_total"
 
-let dfa_hits_c =
-  Metrics.counter ~help:"Compiled automata served from the shared DFA cache"
-    "posl_engine_dfa_cache_hits_total"
-
-let dfa_compiles_c =
-  Metrics.counter ~help:"PRS expressions compiled to DFAs"
-    "posl_engine_dfa_compiles_total"
-
-let dfa_contended_c =
-  Metrics.counter ~help:"Contended stripe-lock acquisitions in the DFA cache"
-    "posl_engine_dfa_contended_total"
-
-(* The antichain and interning counters live in posl.bmc / posl.tset;
-   [Metrics.counter] is get-or-create by name, so redeclaring them here
-   only obtains handles on the same registry cells. *)
+(* The antichain, interning and DFA metrics live in posl.bmc /
+   posl.tset, where the work happens; [Metrics.counter] and
+   [Metrics.histogram] are get-or-create by name, so redeclaring them
+   here only obtains handles on the same registry cells.  Every DFA
+   compile is observed by the compile-time histogram, so its sample
+   count is the compile count. *)
 let antichain_pairs_c =
   Metrics.counter ~help:"Product pairs admitted by antichain inclusion checks"
     "posl_bmc_antichain_pairs_total"
@@ -81,6 +73,15 @@ let antichain_prunes_c =
 let interned_states_c =
   Metrics.counter ~help:"Distinct monitor states interned per context"
     "posl_tset_interned_states_total"
+
+let dfa_compile_hist =
+  Metrics.histogram ~help:"Time to compile one prs-expression to a DFA, ms"
+    "posl_tset_dfa_compile_ms"
+
+let dfa_hits_c =
+  Metrics.counter
+    ~help:"Compiled prs-automata served from a context's memo (no compile)"
+    "posl_tset_dfa_cache_hits_total"
 
 type totals = {
   t_jobs : int;
@@ -95,7 +96,6 @@ type totals = {
   t_busy_ns : int;
   t_dfa_hits : int;
   t_dfa_compiles : int;
-  t_dfa_contended : int;
   t_antichain_pairs : int;
   t_antichain_prunes : int;
   t_interned_states : int;
@@ -114,8 +114,7 @@ let read_totals () =
     t_plan_fallbacks = Metrics.value plan_fallbacks_c;
     t_busy_ns = Metrics.value busy_ns_c;
     t_dfa_hits = Metrics.value dfa_hits_c;
-    t_dfa_compiles = Metrics.value dfa_compiles_c;
-    t_dfa_contended = Metrics.value dfa_contended_c;
+    t_dfa_compiles = Metrics.count dfa_compile_hist;
     t_antichain_pairs = Metrics.value antichain_pairs_c;
     t_antichain_prunes = Metrics.value antichain_prunes_c;
     t_interned_states = Metrics.value interned_states_c;
@@ -135,11 +134,6 @@ let incr_derived_hits (_ : t) = Metrics.incr derived_hits_c
 let incr_plan_fallbacks (_ : t) = Metrics.incr plan_fallbacks_c
 let add_busy_ns (_ : t) ns = Metrics.add busy_ns_c ns
 
-let add_dfa (_ : t) ~hits ~compiles ~contended =
-  Metrics.add dfa_hits_c hits;
-  Metrics.add dfa_compiles_c compiles;
-  Metrics.add dfa_contended_c contended
-
 type snapshot = {
   jobs : int;
   hits : int;
@@ -153,7 +147,6 @@ type snapshot = {
   busy_ms : float;
   dfa_hits : int;
   dfa_compiles : int;
-  dfa_contended : int;
   antichain_pairs : int;
   antichain_prunes : int;
   interned_states : int;
@@ -175,7 +168,6 @@ let snapshot (c : t) : snapshot =
     busy_ms = float_of_int (now.t_busy_ns - b.t_busy_ns) /. 1e6;
     dfa_hits = now.t_dfa_hits - b.t_dfa_hits;
     dfa_compiles = now.t_dfa_compiles - b.t_dfa_compiles;
-    dfa_contended = now.t_dfa_contended - b.t_dfa_contended;
     antichain_pairs = now.t_antichain_pairs - b.t_antichain_pairs;
     antichain_prunes = now.t_antichain_prunes - b.t_antichain_prunes;
     interned_states = now.t_interned_states - b.t_interned_states;
@@ -185,9 +177,9 @@ let pp_snapshot ppf s =
   Format.fprintf ppf
     "jobs=%d hits=%d misses=%d uncacheable=%d store_hits=%d store_misses=%d \
      store_writes=%d derived_hits=%d plan_fallbacks=%d busy=%.1fms \
-     dfa_hits=%d dfa_compiles=%d dfa_contended=%d antichain_pairs=%d \
+     dfa_hits=%d dfa_compiles=%d antichain_pairs=%d \
      antichain_prunes=%d interned_states=%d"
     s.jobs s.hits s.misses s.uncacheable s.store_hits s.store_misses
     s.store_writes s.derived_hits s.plan_fallbacks s.busy_ms s.dfa_hits
-    s.dfa_compiles s.dfa_contended s.antichain_pairs s.antichain_prunes
+    s.dfa_compiles s.antichain_pairs s.antichain_prunes
     s.interned_states

@@ -1,14 +1,18 @@
-(** Per-batch engine statistics.
+(** Engine statistics for one batch ({!Posl_engine.Engine.run_jobs}) or
+    one server lifetime ([posl.serve]'s stats op).
 
-    Since the telemetry PR these are a {e delta view} over the
-    process-wide {!Posl_telemetry.Metrics} registry: every [incr_*]
-    bumps a global cumulative counter (named [posl_engine_*_total],
-    exposed by [posl-check metrics] and [--metrics FILE]), and
-    {!snapshot} subtracts the values captured by {!create}, so a batch
-    reports exactly its own traffic while the registry accumulates
-    process totals.  All increments are atomic and may come from any
-    worker domain; snapshots are taken after the parallel join, so they
-    are exact for non-overlapping batches. *)
+    A [t] is a {e delta view} over the process-wide
+    {!Posl_telemetry.Metrics} registry: every [incr_*] bumps a global
+    cumulative counter (named [posl_engine_*_total], exposed by
+    [posl-check metrics] and [--metrics FILE]), and {!snapshot}
+    subtracts the values captured by {!create}, so a caller reports
+    exactly the traffic since it started while the registry
+    accumulates process totals.  The decision-layer figures — DFA
+    compiles and memo hits, antichain pairs, interned states — are
+    counted where the work happens, in [posl.tset] and [posl.bmc], and
+    only read here, so they hold for every {!Posl_engine.Engine.answer}
+    caller.  All increments are atomic and may come from any worker
+    domain; snapshots are exact for non-overlapping callers. *)
 
 type t
 
@@ -23,7 +27,7 @@ val incr_uncacheable : t -> unit
 
 val incr_store_hits : t -> unit
 (** A verdict was answered from the persistent on-disk store
-    ({!Posl_store.Store}) rather than computed (PR 4). *)
+    ({!Posl_store.Store}) rather than computed. *)
 
 val incr_store_misses : t -> unit
 (** A persistent-store lookup found no usable record, so the verdict
@@ -47,13 +51,6 @@ val add_busy_ns : t -> int -> unit
     (elapsed wall time × domains) gives worker utilization, which is
     how {!Posl_engine.Engine.pp_stats} reports it. *)
 
-val add_dfa : t -> hits:int -> compiles:int -> contended:int -> unit
-(** Accumulate the traffic one batch generated against the shared
-    compiled-automata (DFA) cache (PR 2) — the
-    {!Posl_tset.Prs_cache.stats} delta measured around the batch:
-    cache hits, fresh compilations, and contended stripe-lock
-    acquisitions. *)
-
 type snapshot = {
   jobs : int;  (** jobs answered, cached or computed *)
   hits : int;  (** verdicts served from the in-memory cache *)
@@ -67,9 +64,8 @@ type snapshot = {
   plan_fallbacks : int;
       (** composite queries the planner declined (answered directly) *)
   busy_ms : float;  (** summed per-job wall time *)
-  dfa_hits : int;  (** compiled automata served from the shared cache *)
+  dfa_hits : int;  (** compiled automata served from a context's memo *)
   dfa_compiles : int;  (** prs-expressions compiled to DFAs *)
-  dfa_contended : int;  (** contended stripe-lock acquisitions *)
   antichain_pairs : int;
       (** product pairs admitted by antichain inclusion checks *)
   antichain_prunes : int;

@@ -7,20 +7,18 @@
       {!Posl_par.Par.map_dyn}; each job's own exploration is serial
       (its witness order is canonical), and verification batches have
       enough inter-job parallelism.
-    - {e Shared monitor contexts.}  [Tset.ctx] is abstract and its
-      compiled-automata memo is a lock-striped {!Posl_tset.Prs_cache},
-      so one context per universe is shared by {e all} worker domains:
-      each prs-expression is compiled once per batch instead of once
-      per domain.  Compiled automata are universe-relative, so a
-      {!dfa_cache} keys striped caches by (structural) universe and can
-      be threaded across batches to keep automata warm.
+    - {e Shared monitor contexts.}  [Tset.ctx] is abstract, owns its
+      compiled-automata memo and guards it with its intern lock, so
+      one context per universe is shared by {e all} worker domains:
+      each prs-expression is compiled once per session instead of once
+      per domain, and a session reused across batches keeps automata
+      warm.
     - {e Shared verdict cache.}  The {!Cache} is mutex-protected and
       holds pure data; hits return the stored verdict without touching
       any monitor. *)
 
 module Spec = Posl_core.Spec
 module Tset = Posl_tset.Tset
-module Prs_cache = Posl_tset.Prs_cache
 module Par = Posl_par.Par
 module Store = Posl_store.Store
 module Telemetry = Posl_telemetry.Telemetry
@@ -125,49 +123,6 @@ let pp_stats ppf s =
          s.antichain_prunes s.interned_states
          (if s.interned_states = 1 then "" else "s"))
 
-(* The shared DFA-cache registry.  Compiled prs-automata are relative
-   to a universe sample (binder expansion and event sampling), so one
-   striped cache per distinct universe; universes are pure structural
-   data, so structural equality is the sound key.  The registry itself
-   is tiny (one entry per spec corpus) and mutex-guarded. *)
-type dfa_cache = {
-  dc_lock : Mutex.t;
-  mutable dc_caches : (Universe.t * Tset.prs_cache) list;
-  dc_stripes : int;
-}
-
-let dfa_cache ?(stripes = 16) () =
-  { dc_lock = Mutex.create (); dc_caches = []; dc_stripes = stripes }
-
-let dfa_cache_for dc universe =
-  Mutex.lock dc.dc_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock dc.dc_lock)
-    (fun () ->
-      match List.find_opt (fun (u, _) -> u = universe) dc.dc_caches with
-      | Some (_, cache) -> cache
-      | None ->
-          let cache = Prs_cache.create ~stripes:dc.dc_stripes () in
-          dc.dc_caches <- (universe, cache) :: dc.dc_caches;
-          cache)
-
-let dfa_cache_stats dc =
-  Mutex.lock dc.dc_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock dc.dc_lock)
-    (fun () ->
-      List.fold_left
-        (fun (acc : Prs_cache.stats) (_, cache) ->
-          let s = Prs_cache.stats cache in
-          {
-            Prs_cache.hits = acc.Prs_cache.hits + s.Prs_cache.hits;
-            misses = acc.Prs_cache.misses + s.Prs_cache.misses;
-            duplicates = acc.Prs_cache.duplicates + s.Prs_cache.duplicates;
-            contended = acc.Prs_cache.contended + s.Prs_cache.contended;
-          })
-        { Prs_cache.hits = 0; misses = 0; duplicates = 0; contended = 0 }
-        dc.dc_caches)
-
 (* Monotonic per-job clock: immune to wall-clock adjustments, and the
    same time base the span layer uses. *)
 let now_ns = Telemetry.now_ns
@@ -175,30 +130,27 @@ let now_ns = Telemetry.now_ns
 (* A session is the warm state a resident caller (the verification
    service, or run_batch for its own lifetime) threads across any
    number of answered requests: the in-memory verdict cache, the
-   compiled-automata registry, the optional persistent store, and one
-   shared monitor context per distinct universe.  Contexts are keyed
+   optional persistent store, and one shared monitor context (owning
+   its compiled automata) per distinct universe.  Contexts are keyed
    structurally — two submissions that describe the same universe
    (e.g. the same spec text sent twice over a socket) share monitors
    even though the values are not physically equal. *)
 type session = {
   s_cache : Cache.t;
-  s_dc : dfa_cache;
   s_store : Store.t option;
   s_lock : Mutex.t;
   mutable s_ctxs : (Universe.t * Tset.ctx) list;
 }
 
-let session ?cache ?dfa_cache:dc ?store () =
+let session ?store () =
   {
-    s_cache = (match cache with Some c -> c | None -> Cache.create ());
-    s_dc = (match dc with Some d -> d | None -> dfa_cache ());
+    s_cache = Cache.create ();
     s_store = store;
     s_lock = Mutex.create ();
     s_ctxs = [];
   }
 
 let session_cache s = s.s_cache
-let session_dfa_cache s = s.s_dc
 let session_store s = s.s_store
 
 let session_ctx s universe =
@@ -209,9 +161,7 @@ let session_ctx s universe =
       match List.find_opt (fun (u, _) -> u = universe) s.s_ctxs with
       | Some (_, ctx) -> ctx
       | None ->
-          let ctx =
-            Tset.ctx ~cache:(dfa_cache_for s.s_dc universe) universe
-          in
+          let ctx = Tset.ctx universe in
           s.s_ctxs <- (universe, ctx) :: s.s_ctxs;
           ctx)
 
@@ -323,7 +273,6 @@ let run_jobs ?domains ?plan s requests =
      (structurally equal universes share one context through the
      session registry). *)
   List.iter (fun req -> ignore (session_ctx s req.universe)) requests;
-  let dfa_before = dfa_cache_stats s.s_dc in
   Metrics.set domains_gauge (float_of_int domains);
   let t0 = now_ns () in
   let results =
@@ -334,11 +283,6 @@ let run_jobs ?domains ?plan s requests =
       (fun () -> Par.map_dyn ~domains (answer ?plan s counters) requests)
   in
   let wall_ms = float_of_int (now_ns () - t0) /. 1e6 in
-  let dfa =
-    Prs_cache.diff_stats ~before:dfa_before ~after:(dfa_cache_stats s.s_dc)
-  in
-  Counters.add_dfa counters ~hits:dfa.Prs_cache.hits
-    ~compiles:dfa.Prs_cache.misses ~contended:dfa.Prs_cache.contended;
   let c = Counters.snapshot counters in
   let stats =
     {
@@ -366,5 +310,5 @@ let run_jobs ?domains ?plan s requests =
   in
   (results, stats)
 
-let run_batch ?domains ?plan ?cache ?dfa_cache ?store requests =
-  run_jobs ?domains ?plan (session ?cache ?dfa_cache ?store ()) requests
+let run_batch ?domains ?plan ?store requests =
+  run_jobs ?domains ?plan (session ?store ()) requests

@@ -1,8 +1,8 @@
 (** The resident verification server.
 
     [posl-check serve] keeps one {!Engine.session} — verdict cache,
-    compiled-automata cache, optional persistent store, shared monitor
-    contexts — alive for the lifetime of the process and answers
+    optional persistent store, shared monitor contexts with their
+    compiled automata — alive for the lifetime of the process and answers
     {!Wire} requests over a Unix-domain or TCP socket.  Connection I/O
     runs on one thread per connection; verification runs on a pool of
     worker domains behind a bounded admission queue ({!Sched}), so a

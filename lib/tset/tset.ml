@@ -42,6 +42,11 @@ let interned_states_c =
   Metrics.counter ~help:"Monitor states interned across all contexts"
     "posl_tset_interned_states_total"
 
+let dfa_cache_hits_c =
+  Metrics.counter
+    ~help:"Compiled prs-automata served from a context's memo (no compile)"
+    "posl_tset_dfa_cache_hits_total"
+
 type t =
   | All
   | Prs of Regex.t
@@ -97,8 +102,6 @@ type compiled_prs = {
   atoms : Eventset.t;  (* symbolic union of the atom event sets *)
 }
 
-type prs_cache = (Regex.t, compiled_prs) Prs_cache.t
-
 (* Interning tables: small integer ids for monitor states, for the
    composites of product macro-states, and a hash-consing table for
    events.  Ids make frontier keys of the on-the-fly inclusion check
@@ -130,6 +133,9 @@ type intern = {
          Successor rows survive across inclusion checks, so a monitor
          shared by many refinement pairs steps each state once per
          context, not once per pair. *)
+  i_prs : (Regex.t, compiled_prs) Hashtbl.t;
+      (* the compiled-automata memo, keyed structurally: each distinct
+         prs-expression is compiled once per context *)
   i_forall_bodies : (int * Oid.t, t) Hashtbl.t;
       (* (tset id of a [Forall_obj] node, object) -> [body o].  The
          body of Example 3's P{_RW1} builds a whole regex tree per
@@ -138,14 +144,14 @@ type intern = {
          applications stop allocating and downstream caches get a
          stable key. *)
   mutable i_prs_phys : (Regex.t * compiled_prs) list;
-      (* physical-identity front cache over [prs_cache], capped at
+      (* physical-identity front cache over [i_prs], capped at
          [prs_phys_cap]: hot-path regexes are stable values (module
          constants, or [i_forall_bodies] members), so stepping
          resolves their automata by pointer scan instead of a
          structural hash + equality per step.  The cap keeps fresh
-         regexes from growing the scan; they miss into the striped
-         cache, which is keyed structurally.  Read lock-free (a cons
-         chain is immutable); extended under [i_lock]. *)
+         regexes from growing the scan; they miss into [i_prs].  Read
+         lock-free (a cons chain is immutable); extended under
+         [i_lock]. *)
 }
 
 let prs_phys_cap = 64
@@ -164,35 +170,21 @@ let intern_create () =
     i_tsets = [];
     i_tset_count = 0;
     i_rows = Hashtbl.create 4096;
+    i_prs = Hashtbl.create 64;
     i_forall_bodies = Hashtbl.create 64;
     i_prs_phys = [];
   }
 
 (* The record stays internal: outside the module a context is abstract
-   and reached through the accessors below, which is what lets the
-   compiled-automata memo be a domain-safe striped cache rather than a
-   leaked hashtable. *)
-type ctx = {
-  universe : Universe.t;
-  closure_cap : int;
-  prs_cache : prs_cache;
-  intern : intern;
-}
+   and reached through the accessors below, so its memo tables (compiled
+   automata included) are only touched under the intern lock. *)
+type ctx = { universe : Universe.t; closure_cap : int; intern : intern }
 
-let ctx ?(closure_cap = 20_000) ?cache universe =
-  let prs_cache =
-    match cache with Some c -> c | None -> Prs_cache.create ()
-  in
-  { universe; closure_cap; prs_cache; intern = intern_create () }
+let ctx ?(closure_cap = 20_000) universe =
+  { universe; closure_cap; intern = intern_create () }
 
 let universe c = c.universe
 let closure_cap c = c.closure_cap
-let prs_cache c = c.prs_cache
-let share_cache donor c = { c with prs_cache = donor.prs_cache }
-
-(* Derived from the constructor — kept because "same context, tighter
-   cap" is the common way to probe closure overflows in tests. *)
-let with_closure_cap cap c = ctx ~closure_cap:cap ~cache:c.prs_cache c.universe
 
 (** {1 Interning} *)
 
@@ -301,31 +293,45 @@ let forall_body c (node : t) (body : Oid.t -> t) (o : Oid.t) : t =
 let intern_counts c =
   with_intern c @@ fun it -> (it.i_count, it.i_comp_count, it.i_event_count)
 
-(* Compilation happens outside the stripe lock; when two domains race
-   on a fresh regex both compile and the first insert wins, which is
-   sound because compiled automata for one (regex, universe) pair are
-   interchangeable pure values. *)
-let compile_prs_shared (c : ctx) (r : Regex.t) : compiled_prs =
-  Prs_cache.find_or_compute c.prs_cache r (fun () ->
-      Telemetry.with_span "tset.dfa-compile" @@ fun () ->
-      let t0 = Telemetry.now_ns () in
-      let ground = Regex.expand c.universe r in
-      let atoms = Regex.atom_union ground in
-      let events = Array.of_list (Eventset.sample c.universe atoms) in
-      let dfa = Posl_regex.Regex.prs_dfa ~events ground in
-      let index =
-        Array.to_list events
-        |> List.mapi (fun i e -> (e, i))
-        |> List.to_seq |> Event.Map.of_seq
-      in
-      Telemetry.set_attrs
-        [ ("events", string_of_int (Array.length events));
-          ("states", string_of_int (Posl_automata.Dfa.n_states dfa)) ];
-      Metrics.observe dfa_compile_hist
-        (float_of_int (Telemetry.now_ns () - t0) /. 1e6);
-      { dfa; index; atoms })
+let compile_prs_fresh (c : ctx) (r : Regex.t) : compiled_prs =
+  Telemetry.with_span "tset.dfa-compile" @@ fun () ->
+  let t0 = Telemetry.now_ns () in
+  let ground = Regex.expand c.universe r in
+  let atoms = Regex.atom_union ground in
+  let events = Array.of_list (Eventset.sample c.universe atoms) in
+  let dfa = Posl_regex.Regex.prs_dfa ~events ground in
+  let index =
+    Array.to_list events
+    |> List.mapi (fun i e -> (e, i))
+    |> List.to_seq |> Event.Map.of_seq
+  in
+  Telemetry.set_attrs
+    [ ("events", string_of_int (Array.length events));
+      ("states", string_of_int (Posl_automata.Dfa.n_states dfa)) ];
+  Metrics.observe dfa_compile_hist
+    (float_of_int (Telemetry.now_ns () - t0) /. 1e6);
+  { dfa; index; atoms }
 
-(* Pointer-scan front over the striped cache; see [i_prs_phys]. *)
+(* The [i_prs] memo, with the [forall_body] discipline: compile outside
+   the lock, first insert wins.  Two domains racing on a fresh regex
+   both compile (each compile is observed by [dfa_compile_hist]), which
+   is sound because compiled automata for one (regex, universe) pair
+   are interchangeable pure values. *)
+let compile_prs_memo (c : ctx) (r : Regex.t) : compiled_prs =
+  match with_intern c (fun it -> Hashtbl.find_opt it.i_prs r) with
+  | Some v ->
+      Metrics.incr dfa_cache_hits_c;
+      v
+  | None ->
+      let v = compile_prs_fresh c r in
+      with_intern c (fun it ->
+          match Hashtbl.find_opt it.i_prs r with
+          | Some winner -> winner
+          | None ->
+              Hashtbl.add it.i_prs r v;
+              v)
+
+(* Pointer-scan front over the memo; see [i_prs_phys]. *)
 let compile_prs (c : ctx) (r : Regex.t) : compiled_prs =
   let rec scan = function
     | [] -> None
@@ -335,7 +341,7 @@ let compile_prs (c : ctx) (r : Regex.t) : compiled_prs =
   match scan c.intern.i_prs_phys with
   | Some v -> v
   | None ->
-      let v = compile_prs_shared c r in
+      let v = compile_prs_memo c r in
       with_intern c (fun it ->
           if
             List.length it.i_prs_phys < prs_phys_cap

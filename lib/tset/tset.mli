@@ -50,47 +50,22 @@ val part : alpha:Eventset.t -> t -> part
 
     All trace-level operations are relative to a {!ctx}: the finite
     universe sample (binder expansion, internal-event sampling), a
-    safety cap for product closures, and the memo cache of compiled
-    prs-automata.  The type is abstract; the cache is a lock-striped
-    {!Prs_cache} safe to share across OCaml 5 domains, so one context
-    (or one cache threaded through several contexts) can serve every
-    worker of a parallel batch. *)
+    safety cap for product closures, and the context's memo tables —
+    interned monitor states, successor rows and the compiled
+    prs-automata.  The type is abstract and owns its memos: each
+    distinct prs-expression is compiled once per context.  Every memo
+    is guarded by one lock, so a context can be shared by every worker
+    domain of a parallel batch.  Compiles are observed by the
+    [posl_tset_dfa_compile_ms] histogram and memo hits counted by
+    [posl_tset_dfa_cache_hits_total]. *)
 
 type ctx
 
-type compiled_prs
-(** A compiled prs-expression: a minimized DFA over the concrete event
-    sample together with its symbol index.  Abstract; exposed only as
-    the value type of {!prs_cache}. *)
-
-type prs_cache = (Regex.t, compiled_prs) Prs_cache.t
-(** The compiled-automata memo.  Domain-safe: all access inside the
-    library goes through {!Prs_cache.find_or_compute}. *)
-
-val ctx : ?closure_cap:int -> ?cache:prs_cache -> Universe.t -> ctx
-(** [closure_cap] defaults to 20_000; [cache] defaults to a fresh
-    {!Prs_cache.create}.  Pass an existing cache to share compiled
-    automata across contexts (and across batches — see
-    {!share_cache}). *)
+val ctx : ?closure_cap:int -> Universe.t -> ctx
+(** [closure_cap] defaults to 20_000. *)
 
 val universe : ctx -> Universe.t
 val closure_cap : ctx -> int
-
-val prs_cache : ctx -> prs_cache
-(** The context's compiled-automata cache, e.g. for
-    {!Prs_cache.stats} or for threading into another {!ctx}. *)
-
-val share_cache : ctx -> ctx -> ctx
-(** [share_cache donor c] is [c] with [donor]'s compiled-automata
-    cache: both contexts (and anything built from them) memoize into
-    one striped table.  Only meaningful when the two contexts sample
-    the same universe — compiled automata are universe-relative, and
-    the cache is keyed by regex alone. *)
-
-val with_closure_cap : int -> ctx -> ctx
-(** Same universe and cache, different closure cap.  Derived:
-    [with_closure_cap cap c = ctx ~closure_cap:cap
-    ~cache:(prs_cache c) (universe c)]. *)
 
 exception Closure_overflow of int
 (** Raised when the hidden-event closure of a [Product] monitor exceeds

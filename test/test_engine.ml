@@ -5,7 +5,6 @@
 
 module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
-module Cache = Posl_engine.Cache
 module Dig = Posl_engine.Digest
 module Spec = Posl_core.Spec
 module Theory = Posl_core.Theory
@@ -59,9 +58,9 @@ let verdicts_equal a b =
 (* --- cache behaviour ------------------------------------------------ *)
 
 let test_cache_hit_on_repeat () =
-  let cache = Cache.create () in
+  let session = Engine.session () in
   let q = req (Job.Refine { refined = Ex.read2; abstract = Ex.read }) in
-  let results, stats = Engine.run_batch ~domains:1 ~cache [ q; q ] in
+  let results, stats = Engine.run_jobs ~domains:1 session [ q; q ] in
   Util.check_int "jobs" 2 stats.Engine.jobs;
   Util.check_int "misses" 1 stats.Engine.cache_misses;
   Util.check_int "hits" 1 stats.Engine.cache_hits;
@@ -72,16 +71,16 @@ let test_cache_hit_on_repeat () =
       Util.check_bool "verdicts identical" true
         (V.equal a.Engine.verdict b.Engine.verdict)
   | _ -> Alcotest.fail "expected two results");
-  (* A later batch against the same cache is all hits. *)
-  let _, stats2 = Engine.run_batch ~domains:1 ~cache [ q ] in
+  (* A later batch on the same session is all hits. *)
+  let _, stats2 = Engine.run_jobs ~domains:1 session [ q ] in
   Util.check_int "warm misses" 0 stats2.Engine.cache_misses;
   Util.check_int "warm hits" 1 stats2.Engine.cache_hits
 
 let test_cached_equals_fresh_paper () =
-  let cache = Cache.create () in
+  let session = Engine.session () in
   let batch = paper_batch () in
-  let cold, _ = Engine.run_batch ~domains:2 ~cache batch in
-  let warm, warm_stats = Engine.run_batch ~domains:2 ~cache batch in
+  let cold, _ = Engine.run_jobs ~domains:2 session batch in
+  let warm, warm_stats = Engine.run_jobs ~domains:2 session batch in
   Util.check_int "warm batch recomputes nothing" 0
     warm_stats.Engine.cache_misses;
   Util.check_bool "cold ≡ warm verdicts" true
@@ -111,12 +110,18 @@ let test_stats_accounting () =
 (* --- determinism across domain counts ------------------------------- *)
 
 let test_deterministic_across_domains () =
-  (* one DFA cache threaded through every run: domain count 1 runs
-     cold, 2 and 4 run against warm compiled automata — verdicts must
-     be identical either way *)
-  let dfa_cache = Engine.dfa_cache () in
+  (* a fresh session per domain count, so every count computes every
+     verdict cold (one shared session would turn the 2- and 4-domain
+     runs into verdict-cache hits and the comparison vacuous) *)
   let run domains =
-    verdicts (fst (Engine.run_batch ~domains ~dfa_cache (paper_batch ())))
+    let results, stats =
+      Engine.run_jobs ~domains (Engine.session ()) (paper_batch ())
+    in
+    Util.check_bool
+      (Printf.sprintf "domains %d compiles its own automata" domains)
+      true
+      (stats.Engine.dfa_compiles > 0);
+    verdicts results
   in
   let v1 = run 1 and v2 = run 2 and v4 = run 4 in
   Util.check_bool "domains 1 = 2" true (verdicts_equal v1 v2);
@@ -131,33 +136,32 @@ let test_dfa_compiles_do_not_scale_with_domains () =
   let s1 = run 1 and s4 = run 4 in
   Util.check_bool "serial pass compiles automata" true
     (s1.Engine.dfa_compiles > 0);
-  (* the per-domain compilation tax is gone: 4 domains share one
-     striped cache, so compiles stay at the distinct-regex count (plus
-     the occasional benign duplicate), not 4× the serial count *)
+  (* no per-domain compilation tax: 4 domains share one context per
+     universe, so compiles stay at the distinct-regex count (plus the
+     occasional benign duplicate), not 4× the serial count *)
   Util.check_bool "4-domain compiles ≪ 4× serial compiles" true
     (s4.Engine.dfa_compiles < 2 * s1.Engine.dfa_compiles);
-  Util.check_bool "the shared cache is actually hit" true
+  Util.check_bool "the shared context's memo is actually hit" true
     (s4.Engine.dfa_cache_hits > 0)
 
 let test_dfa_cache_warm_across_batches () =
-  let dfa_cache = Engine.dfa_cache () in
+  (* one session, one domain, the paper batch in two halves: the
+     second half compiles only what the first left uncompiled, so the
+     halves' compiles sum exactly to the whole batch's on a fresh
+     session — automata stay warm across run_jobs calls, and each
+     call's counters cover exactly its own work *)
   let batch = paper_batch () in
-  let run () =
-    (* a fresh verdict cache each time: every job recomputes, so the
-       monitors must re-consult the compiled automata *)
-    snd (Engine.run_batch ~domains:2 ~cache:(Cache.create ()) ~dfa_cache batch)
-  in
-  let cold = run () in
-  let warm = run () in
-  Util.check_bool "cold batch compiled automata" true
-    (cold.Engine.dfa_compiles > 0);
-  Util.check_int "warm batch recompiles nothing" 0 warm.Engine.dfa_compiles;
-  Util.check_bool "warm batch reads the shared cache" true
-    (warm.Engine.dfa_cache_hits > 0);
-  let agg = Engine.dfa_cache_stats dfa_cache in
-  Util.check_int "registry aggregates both passes"
-    (cold.Engine.dfa_compiles + warm.Engine.dfa_compiles)
-    agg.Posl_tset.Prs_cache.misses
+  let first = List.filteri (fun i _ -> i < List.length batch / 2) batch
+  and second = List.filteri (fun i _ -> i >= List.length batch / 2) batch in
+  let session = Engine.session () in
+  let s1 = snd (Engine.run_jobs ~domains:1 session first) in
+  let s2 = snd (Engine.run_jobs ~domains:1 session second) in
+  let whole = snd (Engine.run_jobs ~domains:1 (Engine.session ()) batch) in
+  Util.check_bool "first half compiles automata" true
+    (s1.Engine.dfa_compiles > 0);
+  Util.check_int "compiles(first) + compiles(second) = compiles(whole)"
+    whole.Engine.dfa_compiles
+    (s1.Engine.dfa_compiles + s2.Engine.dfa_compiles)
 
 (* --- uncacheable (opaque) queries ----------------------------------- *)
 
@@ -177,8 +181,7 @@ let test_opaque_uncacheable () =
     (Dig.query ~universe:u ~depth
        (Job.Equal { left = pointwise_spec; right = pointwise_spec }));
   let q = req (Job.Equal { left = pointwise_spec; right = pointwise_spec }) in
-  let cache = Cache.create () in
-  let results, stats = Engine.run_batch ~domains:1 ~cache [ q; q ] in
+  let results, stats = Engine.run_batch ~domains:1 [ q; q ] in
   Util.check_int "both uncacheable" 2 stats.Engine.uncacheable;
   Util.check_int "no cache traffic" 0
     (stats.Engine.cache_hits + stats.Engine.cache_misses);
@@ -240,9 +243,9 @@ let qsuite =
       (fun (a, b) ->
         let q = Job.Refine { refined = a; abstract = b } in
         let r = Engine.of_specs ~depth:3 q in
-        let cache = Cache.create () in
-        let first, _ = Engine.run_batch ~domains:1 ~cache [ r ] in
-        let second, stats = Engine.run_batch ~domains:1 ~cache [ r ] in
+        let session = Engine.session () in
+        let first, _ = Engine.run_jobs ~domains:1 session [ r ] in
+        let second, stats = Engine.run_jobs ~domains:1 session [ r ] in
         let fresh =
           Job.run (Tset.ctx r.Engine.universe) ~depth:3 q
         in

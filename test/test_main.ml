@@ -11,7 +11,6 @@ let () =
       ("automata", Test_automata.suite);
       ("counting", Test_counting.suite);
       ("tset", Test_tset.suite);
-      ("prs_cache", Test_prs_cache.suite);
       ("spec", Test_spec.suite);
       ("refine", Test_refine.suite);
       ("compose", Test_compose.suite);

@@ -1,7 +1,8 @@
 (* The verification service (posl.serve): frame codec edge cases, wire
    protocol round trips, and a live server exercised over a Unix socket
    — protocol round trip, verdicts equal to direct engine runs from
-   concurrent clients, warm-cache hits on repeated digests, queue-full
+   concurrent clients, warm-cache hits on repeated digests, the stats
+   op's DFA counters, queue-full
    rejection, malformed/oversized frames, deadline expiry, graceful
    drain on the shutdown op, and a small in-process loadgen campaign. *)
 
@@ -434,6 +435,47 @@ let test_repeat_hits_warm_cache () =
       Alcotest.(check bool) "repeated digest answered from warm cache" true
         (get_field "cached" second = Json.Bool true))
 
+(* The stats op's DFA counters are read where the work happens, in
+   posl.tset, so a live server reports the automata its answers
+   compiled — exactly the compiles the process registry observed. *)
+let metric_value text name =
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ n; v ] when n = name -> int_of_string_opt v
+         | _ -> None)
+  |> Option.value ~default:0
+
+let test_stats_count_dfa_compiles () =
+  with_server ~workers:1 (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let compile_count () =
+        match
+          get_field "metrics" (call_ok c (Wire.request_json Wire.Metrics))
+        with
+        | Json.Str text -> metric_value text "posl_tset_dfa_compile_ms_count"
+        | _ -> Alcotest.fail "metrics is not a string"
+      in
+      let before = compile_count () in
+      (* B ⊑ A: the abstract side is a prs monitor, so deciding it
+         compiles A's automaton (A ⊑ B short-circuits on B = all) *)
+      (match results_of (call_ok c (submit [ ("refine", [ "B"; "A" ]) ])) with
+      | [ r ] ->
+          Alcotest.(check bool) "the query is computed cold" true
+            (get_field "cached" r = Json.Bool false)
+      | _ -> Alcotest.fail "one result expected");
+      let delta = compile_count () - before in
+      let engine = get_field "engine" (call_ok c (Wire.request_json Wire.Stats)) in
+      let compiles =
+        match get_field "dfa_compiles" engine with
+        | Json.Int n -> n
+        | _ -> Alcotest.fail "dfa_compiles is not an int"
+      in
+      Alcotest.(check bool) "stats op counts the compiles" true (compiles > 0);
+      Util.check_int "stats dfa_compiles = registry compile-count delta" delta
+        compiles)
+
 let test_queue_full_rejects () =
   with_server ~max_queue:0 (fun addr ->
       let c = Client.connect addr in
@@ -665,6 +707,8 @@ let suite =
       test_concurrent_clients_agree;
     Alcotest.test_case "live: repeated digest hits the warm cache" `Quick
       test_repeat_hits_warm_cache;
+    Alcotest.test_case "live: stats op counts DFA compiles" `Quick
+      test_stats_count_dfa_compiles;
     Alcotest.test_case "live: queue-full submissions get typed overloaded"
       `Quick test_queue_full_rejects;
     Alcotest.test_case "live: queued jobs expire past their deadline" `Quick

@@ -8,7 +8,6 @@ module Store = Posl_store.Store
 module Crc32 = Posl_store.Crc32
 module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
-module Cache = Posl_engine.Cache
 module Ex = Posl_core.Examples_paper
 module V = Posl_verdict.Verdict
 
@@ -218,7 +217,7 @@ let test_second_run_recomputes_nothing () =
   let batch = paper_batch () in
   let s = Store.open_ dir in
   let cold, cold_stats =
-    Engine.run_batch ~domains:1 ~cache:(Cache.create ()) ~store:s batch
+    Engine.run_batch ~domains:1 ~store:s batch
   in
   Util.check_int "cold run computes everything" (List.length batch)
     cold_stats.Engine.cache_misses;
@@ -229,7 +228,7 @@ let test_second_run_recomputes_nothing () =
   (* A new process = a new handle and a cold in-memory cache. *)
   let s = Store.open_ dir in
   let warm, warm_stats =
-    Engine.run_batch ~domains:1 ~cache:(Cache.create ()) ~store:s batch
+    Engine.run_batch ~domains:1 ~store:s batch
   in
   Store.close s;
   Util.check_int "warm run recomputes zero cacheable jobs" 0
@@ -255,8 +254,7 @@ let test_deeper_request_recomputes () =
   in
   Util.check_int "first run computes" 1 st1.Engine.cache_misses;
   let results, st2 =
-    Engine.run_batch ~domains:1 ~cache:(Cache.create ()) ~store:s
-      [ req ~depth:6 q ]
+    Engine.run_batch ~domains:1 ~store:s [ req ~depth:6 q ]
   in
   Store.close s;
   (* The depth-3 record may answer only if it came out exact. *)

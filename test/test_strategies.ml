@@ -70,7 +70,7 @@ let test_closure_overflow_propagates () =
      overflows within the depth bound: Auto's depth-cut fallback runs
      into the same overflow, which must reach the caller rather than
      become a verdict — least of all an Exact one. *)
-  let capped = Tset.with_closure_cap 1 (Tset.ctx Util.paper_universe) in
+  let capped = Tset.ctx ~closure_cap:1 Util.paper_universe in
   let rc = Posl_core.Compose.interface Ex.read Ex.client in
   match Refine.verdict ~opts:(Refine.opts ~depth:3 ()) capped rc rc with
   | exception Tset.Closure_overflow _ -> ()

@@ -11,7 +11,6 @@ module Runtime = Posl_telemetry.Runtime
 module Json = Posl_verdict.Verdict.Json
 module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
-module Cache = Posl_engine.Cache
 module Ex = Posl_core.Examples_paper
 module G = QCheck2.Gen
 
@@ -297,7 +296,7 @@ let test_engine_span_ids () =
         (Job.Refine { refined = Ex.rw; abstract = Ex.write });
     ]
   in
-  let results, _ = Engine.run_batch ~domains:1 ~cache:(Cache.create ()) reqs in
+  let results, _ = Engine.run_batch ~domains:1 reqs in
   let spans = Telemetry.spans () in
   let jobs =
     List.filter (fun (s : Telemetry.span) -> s.name = "engine.job") spans

@@ -9,6 +9,9 @@ module Dfa = Posl_automata.Dfa
 module G = QCheck2.Gen
 module Gen = Posl_gen.Gen
 module Ex = Posl_core.Examples_paper
+module Spec = Posl_core.Spec
+module Par = Posl_par.Par
+module Metrics = Posl_telemetry.Metrics
 
 let sc = Util.sc
 let ctx = Util.ctx
@@ -88,7 +91,7 @@ let test_product_observable () =
 let test_closure_overflow_guard () =
   (* A tiny cap must trip the safety valve on a composition that needs
      internal closure. *)
-  let tight = Tset.with_closure_cap 0 Util.paper_ctx in
+  let tight = Tset.ctx ~closure_cap:0 Util.paper_universe in
   let comp = Posl_core.Compose.interface Ex.client Ex.write_acc in
   let ok = Util.ev "c" "om" "OK" in
   match Tset.mem tight (Posl_core.Spec.tset comp) (Util.tr [ ok ]) with
@@ -129,6 +132,102 @@ let test_outside_universe_event_rejected_or_loud () =
   | false -> () (* clean rejection *)
   | true -> Alcotest.fail "an unsampled caller cannot be accepted")
 
+(* --- one context shared across domains -------------------------------- *)
+
+(* The context's DFA traffic, read from the process registry where
+   posl.tset counts it: every compile is one sample of the compile-time
+   histogram, every memo hit one counter increment. *)
+let dfa_compiles () =
+  Metrics.count (Metrics.histogram "posl_tset_dfa_compile_ms")
+
+let dfa_hits () = Metrics.value (Metrics.counter "posl_tset_dfa_cache_hits_total")
+
+(* Every paper specification against a handful of traces over its
+   cast, repeated so domains overlap on already/not-yet compiled
+   regexes. *)
+let shared_ctx_work () =
+  let ow = Util.ev "c" "o" "OW"
+  and cw = Util.ev "c" "o" "CW"
+  and w = Util.ev ~arg:(Posl_ident.Value.v "d1") "c" "o" "W"
+  and r = Util.ev "c" "o" "R" in
+  let traces =
+    [
+      Trace.empty;
+      Util.tr [ ow ];
+      Util.tr [ ow; w; cw ];
+      Util.tr [ w ];
+      Util.tr [ ow; w; w; cw; ow; cw ];
+      Util.tr [ r; r; r ];
+      Util.tr [ ow; r ];
+      Util.tr [ cw ];
+    ]
+  in
+  let tsets = List.map Spec.tset Ex.all_specs in
+  let cases =
+    List.concat_map (fun t -> List.map (fun h -> (t, h)) traces) tsets
+  in
+  cases @ cases @ cases @ cases
+
+(* Verdict equality: membership verdicts computed by 4 domains sharing
+   ONE context (one memo, overlapping regexes compiled concurrently)
+   must equal a serial run on a fresh context; the shared memo must
+   compile at least the serial automata set and be hit across
+   domains. *)
+let test_shared_ctx_verdicts () =
+  let work = shared_ctx_work () in
+  let c0 = dfa_compiles () in
+  let serial_ctx = Tset.ctx Util.paper_universe in
+  let expected = List.map (fun (t, h) -> Tset.mem serial_ctx t h) work in
+  let serial_compiles = dfa_compiles () - c0 in
+  let shared = Tset.ctx Util.paper_universe in
+  let c1 = dfa_compiles () and h1 = dfa_hits () in
+  let got = Par.map_dyn ~domains:4 (fun (t, h) -> Tset.mem shared t h) work in
+  Util.check_bool "serial ≡ 4-domain shared-context verdicts" true
+    (expected = got);
+  Util.check_bool "the serial run compiled automata" true (serial_compiles > 0);
+  Util.check_bool "shared context compiled at least the serial set" true
+    (dfa_compiles () - c1 >= serial_compiles);
+  Util.check_bool "shared memo was hit across domains" true
+    (dfa_hits () - h1 > 0)
+
+(* 4 domains hammer one fresh shared context per round, each domain
+   walking the corpus from a different offset so first compiles of one
+   regex race across domains.  Every round's verdicts must equal the
+   serial run, and afterwards a serial re-run on the shared context
+   must compile nothing: first-insert-wins left every automaton in the
+   memo, whichever domain won. *)
+let test_domain_hammer () =
+  let work = Array.of_list (shared_ctx_work ()) in
+  let n = Array.length work in
+  let serial_ctx = Tset.ctx Util.paper_universe in
+  let expected = Array.map (fun (t, h) -> Tset.mem serial_ctx t h) work in
+  for round = 1 to 6 do
+    let shared = Tset.ctx Util.paper_universe in
+    let walk d =
+      let got = Array.make n false in
+      for k = 0 to n - 1 do
+        let i = (k + (d * n / 4)) mod n in
+        let t, h = work.(i) in
+        got.(i) <- Tset.mem shared t h
+      done;
+      got
+    in
+    let runs = Par.map_dyn ~domains:4 walk [ 0; 1; 2; 3 ] in
+    List.iteri
+      (fun d got ->
+        Util.check_bool
+          (Printf.sprintf "round %d, domain %d ≡ serial" round d)
+          true (got = expected))
+      runs;
+    let c0 = dfa_compiles () in
+    let again = Array.map (fun (t, h) -> Tset.mem shared t h) work in
+    Util.check_bool "serial re-run ≡ serial" true (again = expected);
+    Util.check_int
+      (Printf.sprintf "round %d: serial re-run compiles nothing" round)
+      0
+      (dfa_compiles () - c0)
+  done
+
 let suite =
   [
     Alcotest.test_case "forall-obj (Read2 semantics)" `Quick test_forall_obj;
@@ -142,5 +241,9 @@ let suite =
       test_closure_overflow_guard;
     Alcotest.test_case "pointwise largest prefix-closed subset" `Quick
       test_pointwise_largest_prefix_closed;
+    Alcotest.test_case "serial ≡ shared-context verdicts (4 domains)" `Slow
+      test_shared_ctx_verdicts;
+    Alcotest.test_case "4-domain hammer, one shared context" `Slow
+      test_domain_hammer;
   ]
   @ qsuite

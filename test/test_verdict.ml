@@ -90,9 +90,9 @@ let test_cache_hit_equals_fresh () =
     Engine.request ~depth ~universe:u
       (Job.refine ~refined:Ex.read ~abstract:Ex.read2)
   in
-  let cache = Posl_engine.Cache.create () in
-  let cold, _ = Engine.run_batch ~domains:1 ~cache [ q ] in
-  let warm, stats = Engine.run_batch ~domains:1 ~cache [ q ] in
+  let session = Engine.session () in
+  let cold, _ = Engine.run_jobs ~domains:1 session [ q ] in
+  let warm, stats = Engine.run_jobs ~domains:1 session [ q ] in
   Util.check_int "warm run hits the cache" 1 stats.Engine.cache_hits;
   match (cold, warm) with
   | [ a ], [ b ] ->
