@@ -44,6 +44,13 @@ let pp_verdict pp_refutation ppf = function
   | Holds c -> Format.fprintf ppf "holds [%a]" pp_confidence c
   | Refuted r -> Format.fprintf ppf "refuted: %a" pp_refutation r
 
+(* An exhausted or refuted run is a lazy automata-theoretic inclusion
+   decision — same claim, same canonical lex-least witness as the
+   compiled-DFA route; only a budget/depth cut is a bounded search. *)
+let procedure = function
+  | Holds (Bounded _) -> Verdict.Bounded_search
+  | Holds Exact | Refuted _ -> Verdict.Automata
+
 (** {1 Self-certification}
 
     Every counterexample the exploration produces is replayed through
@@ -112,12 +119,14 @@ let certify_deadlock ctx ~alphabet t h =
     With [complete] (default), exploration continues past [depth]
     until exhaustion (reported [Exact]) or until more than [budget]
     pairs have been admitted (reported [Bounded depth]); with
-    [~complete:false] it stops at [depth]. *)
+    [~complete:false] it stops at [depth].  A closure overflow past
+    the depth re-runs the explorer cut at the depth; one inside the
+    bound propagates. *)
 exception Cex of Trace.t
 
-let check_inclusion ?(complete = true) ?(budget = 200_000) (ctx : Tset.ctx)
-    ~(alphabet : Event.t array) ~depth ~(lhs : Tset.t) ~(proj : Eventset.t)
-    ~(rhs : Tset.t) : Trace.t verdict =
+let explore ~complete ~budget (ctx : Tset.ctx) ~(alphabet : Event.t array)
+    ~depth ~(lhs : Tset.t) ~(proj : Eventset.t) ~(rhs : Tset.t) :
+    Trace.t verdict =
   match rhs with
   | Tset.All ->
       (* h/proj ∈ All for every h: clause 3 holds outright, with the
@@ -248,30 +257,26 @@ let check_inclusion ?(complete = true) ?(budget = 200_000) (ctx : Tset.ctx)
                 ("dropped", string_of_int st.Antichain.dropped) ];
           result))
 
-(** Bounded trace-set equality: inclusion both ways over the same
-    concrete alphabet (no projection), with plain depth-bounded
-    semantics. *)
+let check_inclusion ?(complete = true) ?(budget = 200_000) ctx ~alphabet
+    ~depth ~lhs ~proj ~rhs =
+  let run complete =
+    explore ~complete ~budget ctx ~alphabet ~depth ~lhs ~proj ~rhs
+  in
+  if not complete then run false
+  else try run true with Tset.Closure_overflow _ -> run false
+
+(** {1 Trace-set equality}: mutual inclusion, left in right first. *)
 let check_equal ctx ~alphabet ~depth ~(left : Tset.t) ~(right : Tset.t) :
     (Trace.t * [ `Left_only | `Right_only ]) verdict =
-  let keep_all = Eventset.full in
-  match
-    check_inclusion ~complete:false ctx ~alphabet ~depth ~lhs:left
-      ~proj:keep_all ~rhs:right
-  with
+  let included lhs rhs =
+    check_inclusion ctx ~alphabet ~depth ~lhs ~proj:Eventset.full ~rhs
+  in
+  match included left right with
   | Refuted h -> Refuted (h, `Left_only)
   | Holds c1 -> (
-      match
-        check_inclusion ~complete:false ctx ~alphabet ~depth ~lhs:right
-          ~proj:keep_all ~rhs:left
-      with
+      match included right left with
       | Refuted h -> Refuted (h, `Right_only)
-      | Holds c2 ->
-          let combine =
-            match (c1, c2) with
-            | Exact, Exact -> Exact
-            | Bounded k, _ | _, Bounded k -> Bounded k
-          in
-          Holds combine)
+      | Holds c2 -> Holds (Verdict.meet c1 c2))
 
 (** {1 Deadlock analysis}
 

@@ -31,6 +31,11 @@ type 'a verdict = Holds of confidence | Refuted of 'a
 val pp_verdict :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a verdict -> unit
 
+val procedure : 'a verdict -> Posl_verdict.Verdict.procedure
+(** The provenance label of an explorer verdict, shared by refinement
+    and equality: [Automata] for an exhausted or refuted run (an exact
+    inclusion decision), [Bounded_search] only for a [Bounded] one. *)
+
 val check_inclusion :
   ?complete:bool ->
   ?budget:int ->
@@ -54,8 +59,12 @@ val check_inclusion :
     [depth] until the frontier is exhausted ([Exact]) or more than
     [budget] (default 200_000) pairs have been admitted
     ([Bounded depth]); with [~complete:false] it cuts at [depth]
-    ([Exact] only when the frontier dies out first).  A hidden-event
-    closure that overflows ({!Tset.Closure_overflow}) propagates. *)
+    ([Exact] only when the frontier dies out first).
+
+    A hidden-event closure that overflows its cap
+    ({!Tset.Closure_overflow}) past [depth] during a complete run makes
+    the same explorer re-run cut at [depth]; one that overflows within
+    [depth] propagates to the caller, never becoming a verdict. *)
 
 val check_equal :
   Tset.ctx ->
@@ -64,7 +73,17 @@ val check_equal :
   left:Tset.t ->
   right:Tset.t ->
   (Trace.t * [ `Left_only | `Right_only ]) verdict
-(** Bounded trace-set equality over the same alphabet. *)
+(** Trace-set equality over the same alphabet: {!check_inclusion} with
+    no projection ([proj = Eventset.full]), [left] in [right] and then
+    [right] in [left], each a complete run under the default budget and
+    the overflow rule.  Holding directions meet their confidences; a
+    refutation is the first direction's canonical witness, tagged with
+    the side it belongs to ([`Left_only]: a trace of [left] outside
+    [right]).  Exactness is bounded by the explorer's pair budget over
+    the (lhs, rhs) product, not by the size of either monitor: a
+    product that admits more pairs than the budget before exhausting
+    reports [Bounded depth], and a refutation whose shortest witness
+    lies past [depth] is then not found. *)
 
 val find_deadlock :
   Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> Trace.t option

@@ -21,7 +21,6 @@ module Trace = Posl_trace.Trace
 module Event = Posl_trace.Event
 module Bmc = Posl_bmc.Bmc
 module Dfa = Posl_automata.Dfa
-module Nfa = Posl_automata.Nfa
 module Verdict = Posl_verdict.Verdict
 
 (* The internal result of the clause checks; the public API reports it
@@ -116,39 +115,24 @@ let decide ~strategy ctx ~depth (gamma' : Spec.t) (gamma : Spec.t) :
              the reference semantics"
             Trace.pp h
       in
-      let automata () =
-        try trace_clause_automata ctx ~alphabet ~proj ~lhs ~rhs
-        with Tset.Closure_overflow _ -> None
-      in
-      (* On-the-fly inclusion with antichain subsumption: an exhausted
-         (or refuted) run is a lazy automata-theoretic inclusion
-         decision and is labelled as such — same claim, same canonical
-         lex-least witness as the compiled-DFA route; only a
-         budget/depth cut is a bounded search. *)
-      let explore ~complete =
-        match
-          Bmc.check_inclusion ~complete ctx ~alphabet ~depth ~lhs ~proj ~rhs
-        with
-        | Bmc.Holds Bmc.Exact -> (Ok Bmc.Exact, Verdict.Automata)
-        | Bmc.Holds (Bmc.Bounded _ as c) -> (Ok c, Verdict.Bounded_search)
-        | Bmc.Refuted h -> (Error (Trace_escape h), Verdict.Automata)
-      in
       match strategy with
       | Automata_only -> (
-          match automata () with
+          match
+            try trace_clause_automata ctx ~alphabet ~proj ~lhs ~rhs
+            with Tset.Closure_overflow _ -> None
+          with
           | Some (Ok ()) -> (Ok Bmc.Exact, Verdict.Automata)
           | Some (Error h) ->
               (Error (Trace_escape (certify h)), Verdict.Automata)
           | None ->
               invalid_arg
                 "Refine.verdict: automata strategy failed to compile monitors")
-      | Auto -> (
-          (* A hidden-event closure can overflow while exploration runs
-             past the depth bound toward exhaustion; the same explorer
-             cut at the depth then answers.  An overflow inside the
-             bound propagates. *)
-          try explore ~complete:true
-          with Tset.Closure_overflow _ -> explore ~complete:false)
+      | Auto ->
+          let v = Bmc.check_inclusion ctx ~alphabet ~depth ~lhs ~proj ~rhs in
+          ( (match v with
+            | Bmc.Holds c -> Ok c
+            | Bmc.Refuted h -> Error (Trace_escape h)),
+            Bmc.procedure v )
     end
 
 (* The typed-evidence view of a failure.  [proj] is α(Γ), used to

@@ -64,8 +64,7 @@ let tset_equal ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
     Array.of_list
       (Eventset.sample u (Eventset.union (Spec.alpha a) (Spec.alpha b)))
   in
-  (* Both decision routes funnel their counterexamples through here:
-     the witness must be a trace of exactly one side under the
+  (* The witness must be a trace of exactly one side under the
      reference semantics before it may be reported. *)
   let fail h side =
     let inside, outside =
@@ -88,35 +87,14 @@ let tset_equal ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
           { trace = h; side; left = Spec.name a; right = Spec.name b };
       ]
   in
-  let automata () =
-    try
-      match
-        ( Tset.compile ctx alphabet (Spec.tset a),
-          Tset.compile ctx alphabet (Spec.tset b) )
-      with
-      | Some da, Some db ->
-          let word_trace w =
-            Trace.of_list (List.map (fun s -> alphabet.(s)) w)
-          in
-          (match Posl_automata.Dfa.included da db with
-          | Error w -> Some (fail (word_trace w) `Left_only)
-          | Ok () -> (
-              match Posl_automata.Dfa.included db da with
-              | Error w -> Some (fail (word_trace w) `Right_only)
-              | Ok () -> Some (pass Exact)))
-      | _, _ -> None
-    with Tset.Closure_overflow _ -> None
+  let v =
+    Bmc.check_equal ctx ~alphabet ~depth ~left:(Spec.tset a)
+      ~right:(Spec.tset b)
   in
-  match automata () with
-  | Some outcome -> Verdict.with_context ~procedure:Verdict.Automata outcome
-  | None ->
-      Verdict.with_context ~procedure:Verdict.Bounded_search ~depth
-        (match
-           Bmc.check_equal ctx ~alphabet ~depth ~left:(Spec.tset a)
-             ~right:(Spec.tset b)
-         with
-        | Bmc.Holds c -> pass c
-        | Bmc.Refuted (h, side) -> fail h side)
+  Verdict.with_context ~procedure:(Bmc.procedure v) ~depth
+    (match v with
+    | Bmc.Holds c -> pass c
+    | Bmc.Refuted (h, side) -> fail h side)
 
 (** Semantic equality of specifications: equal object sets, equal
     alphabets (exact, symbolic) and equal trace sets. *)

@@ -34,7 +34,9 @@ val filter_law : Eventset.t -> Eventset.t -> Posl_trace.Trace.t -> bool
 
 val tset_equal : Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
 (** Equality of the trace sets alone (Example 6 compares compositions
-    whose alphabets legitimately differ). *)
+    whose alphabets legitimately differ), by {!Posl_bmc.Bmc.check_equal}
+    over the sampled union of the two alphabets, labelled as
+    {!Refine.verdict} labels clause 3. *)
 
 val spec_equal : Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
 (** Full semantic equality: objects, alphabets (symbolic, exact) and

@@ -373,17 +373,6 @@ module Composite_set = Set.Make (struct
   let compare = Stdlib.compare
 end)
 
-(* ∀-monitors must reject immediately when the body rejects the empty
-   trace for fresh environment objects; otherwise an object that never
-   appears in the trace would never be checked.  The body is assumed
-   uniform over sort members that are not treated specially — true of
-   every predicate in the paper, where the bound variable ranges over an
-   anonymous environment sort. *)
-let forall_witness s =
-  match Oset.witness s with
-  | Some w -> Some w
-  | None -> None
-
 (* Whether every reachable monitor state of [t] is bounded-shape pure
    data, so that interning de-duplicates revisited states and
    exploration past a depth bound can hope to terminate by exhaustion.
@@ -397,7 +386,7 @@ let rec finitary (t : t) : bool =
   | All | Prs _ | Counting _ -> true
   | Pointwise _ -> false
   | Forall_obj (s, body) -> (
-      match forall_witness s with None -> true | Some w -> finitary (body w))
+      match Oset.witness s with None -> true | Some w -> finitary (body w))
   | Conj ts -> List.for_all finitary ts
   | Restrict (_, t) -> finitary t
   | Product (parts, _) -> List.for_all (fun p -> finitary p.part_tset) parts
@@ -415,7 +404,13 @@ let rec start (c : ctx) (t : t) : state option =
       if Counting.holds ct counts then Some (S_count counts) else None
   | Pointwise (_, p) -> if p Trace.empty then Some (S_point []) else None
   | Forall_obj (s, body) -> (
-      match forall_witness s with
+      (* ∀-monitors must reject immediately when the body rejects the
+         empty trace for fresh environment objects; otherwise an object
+         that never appears in the trace would never be checked.  The
+         body is assumed uniform over sort members that are not treated
+         specially — true of every predicate in the paper, where the
+         bound variable ranges over an anonymous environment sort. *)
+      match Oset.witness s with
       | None -> Some (S_forall [])  (* empty sort: vacuous *)
       | Some w -> (
           match start c (body w) with

@@ -226,8 +226,8 @@ if ! "$BIN" json "$tmp/trace.json" >/dev/null 2>&1; then
   fails=$((fails + 1))
 fi
 for span in traceEvents engine.batch engine.job tset.dfa-compile \
-  tset.closure refine.check compose.check bmc.antichain store.open \
-  store.append store.lock-wait; do
+  tset.closure refine.check compose.check bmc.antichain theory.tset-equal \
+  store.open store.append store.lock-wait; do
   if ! grep -q "$span" "$tmp/trace.json"; then
     echo "FAIL trace: no $span span in $tmp/trace.json" >&2
     fails=$((fails + 1))

@@ -2,9 +2,10 @@
    agreement with the compiled-automata route and the brute-force
    depth-cut oracle ({!Util.depth_cut_oracle}), on the paper corpus
    (bit-for-bit verdicts, witnesses included) and on random
-   specifications with alphabet expansion; and the interning layer's
-   transparency (interned ids never change the reference semantics'
-   answers). *)
+   specifications with alphabet expansion; trace-set equality against
+   the compiled-DFA oracle ({!Util.equal_oracle}); and the interning
+   layer's transparency (interned ids never change the reference
+   semantics' answers). *)
 
 open Posl_ident
 module Spec = Posl_core.Spec
@@ -14,6 +15,9 @@ module Bmc = Posl_bmc.Bmc
 module Trace = Posl_trace.Trace
 module Verdict = Posl_verdict.Verdict
 module Ex = Posl_core.Examples_paper
+module Theory = Posl_core.Theory
+module Job = Posl_engine.Job
+module Metrics = Posl_telemetry.Metrics
 module G = QCheck2.Gen
 module Gen = Posl_gen.Gen
 
@@ -85,6 +89,106 @@ let test_bmc_differential () =
           Alcotest.failf "%s ⊑ %s: antichain over-refuted with %a"
             (Spec.name g') (Spec.name g) Trace.pp h)
     corpus
+
+(* Trace-set equality runs on the same explorer as clause 3 (mutual
+   inclusion, no projection).  On every ordered pair of the paper cast,
+   self-pairs included, it must give the compiled-DFA oracle's answer:
+   status, [Exact] confidence when equal, and the same side and
+   canonical witness when not. *)
+let test_equal_differential () =
+  let pairs =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) Ex.all_specs) Ex.all_specs
+  in
+  Util.check_int "pairs" 64 (List.length pairs);
+  List.iter
+    (fun (a, b) ->
+      let alphabet =
+        Array.of_list
+          (Posl_sets.Eventset.sample Util.paper_universe
+             (Posl_sets.Eventset.union (Spec.alpha a) (Spec.alpha b)))
+      in
+      let v = Theory.tset_equal ctx ~depth a b in
+      let name = Spec.name a ^ " = " ^ Spec.name b in
+      match
+        (Util.equal_oracle ctx ~alphabet (Spec.tset a) (Spec.tset b), v)
+      with
+      | None, _ -> Alcotest.failf "%s: the oracle did not compile" name
+      | Some (Ok ()), { Verdict.status = Holds; confidence = Some Exact; _ } ->
+          ()
+      | ( Some (Error (h, side)),
+          {
+            Verdict.status = Refuted;
+            evidence = [ Verdict.Equality_witness w ];
+            _;
+          } ) ->
+          if not (Trace.equal h w.trace && side = w.side) then
+            Alcotest.failf "%s: witness %a vs oracle %a" name Trace.pp w.trace
+              Trace.pp h
+      | Some _, v ->
+          Alcotest.failf "%s: oracle disagrees with %s" name
+            (Verdict.to_string v))
+    pairs
+
+(* The engine's [equal] jobs take the explorer, not a compiled route:
+   T(RW) = T(RW) is an exact automata-theoretic decision that admits
+   product pairs. *)
+let test_equal_job_route () =
+  let pairs () =
+    Metrics.value (Metrics.counter "posl_bmc_antichain_pairs_total")
+  in
+  let before = pairs () in
+  let v =
+    Job.run (Tset.ctx Util.paper_universe) ~depth
+      (Job.equal ~left:Ex.rw ~right:Ex.rw)
+  in
+  Util.check_bool "holds" true (Verdict.is_holds v);
+  Util.check_bool "exact" true (v.Verdict.confidence = Some Verdict.Exact);
+  Util.check_bool "automata" true
+    (v.Verdict.provenance.procedure = Some Verdict.Automata);
+  Util.check_bool "explorer admitted pairs" true (pairs () > before)
+
+(* Equality's exactness is bounded by the explorer's pair budget over
+   the (lhs, rhs) product, not by whether each monitor compiles.  Past
+   the depth, a product over the budget gives up: an equality the
+   compiled oracle decides exactly (T(RW) = T(RW)) comes out
+   [Bounded depth], and a refutation whose shortest witness lies past
+   the depth (T(Client) ⊄ T(Client2), three events) is not found.  The
+   default budget decides both. *)
+let test_equal_pair_budget () =
+  let included ?budget ~depth a b =
+    let alphabet =
+      Array.of_list
+        (Posl_sets.Eventset.sample Util.paper_universe
+           (Posl_sets.Eventset.union (Spec.alpha a) (Spec.alpha b)))
+    in
+    ( alphabet,
+      Bmc.check_inclusion ?budget ctx ~alphabet ~depth ~lhs:(Spec.tset a)
+        ~proj:Posl_sets.Eventset.full ~rhs:(Spec.tset b) )
+  in
+  let alphabet, v = included ~budget:1 ~depth:2 Ex.rw Ex.rw in
+  Util.check_bool "RW oracle exact" true
+    (Util.equal_oracle ctx ~alphabet (Spec.tset Ex.rw) (Spec.tset Ex.rw)
+    = Some (Ok ()));
+  Util.check_bool "RW over budget: bounded" true (v = Bmc.Holds (Bounded 2));
+  Util.check_bool "RW default budget: exact" true
+    (snd (included ~depth:2 Ex.rw Ex.rw) = Bmc.Holds Exact);
+  let alphabet, v = included ~budget:1 ~depth:2 Ex.client Ex.client2 in
+  let witness =
+    match
+      Util.equal_oracle ctx ~alphabet (Spec.tset Ex.client)
+        (Spec.tset Ex.client2)
+    with
+    | Some (Error (h, `Left_only)) -> h
+    | _ -> Alcotest.fail "oracle: expected a Client-only witness"
+  in
+  Util.check_int "witness past the depth" 3 (Trace.length witness);
+  Util.check_bool "Client over budget: bounded" true
+    (v = Bmc.Holds (Bounded 2));
+  match snd (included ~depth:2 Ex.client Ex.client2) with
+  | Bmc.Refuted h ->
+      Util.check_bool "default budget: oracle's witness" true
+        (Trace.equal h witness)
+  | _ -> Alcotest.fail "default budget: expected a refutation"
 
 (* Random specifications, with the refined side's alphabet expanded by
    construction (the situation Def. 2 clause 3's projection exists
@@ -169,5 +273,11 @@ let suite =
       test_corpus_verdicts_agree;
     Alcotest.test_case "Bmc differential: antichain ≡ bounded at the cut"
       `Quick test_bmc_differential;
+    Alcotest.test_case "equality ≡ compiled-DFA oracle on all 64 pairs"
+      `Quick test_equal_differential;
+    Alcotest.test_case "equal jobs run on the explorer" `Quick
+      test_equal_job_route;
+    Alcotest.test_case "equality exactness is bounded by the pair budget"
+      `Quick test_equal_pair_budget;
   ]
   @ qsuite

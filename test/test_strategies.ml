@@ -67,14 +67,23 @@ let test_bounded_labels_depth () =
 
 let test_closure_overflow_propagates () =
   (* With the hidden-event closure capped at one state, (Read‖Client)
-     overflows within the depth bound: Auto's depth-cut fallback runs
-     into the same overflow, which must reach the caller rather than
-     become a verdict — least of all an Exact one. *)
+     overflows within the depth bound: the depth-cut fallback runs into
+     the same overflow, which must reach the caller rather than become
+     a verdict — least of all an Exact one.  Refinement and trace-set
+     equality share the rule. *)
   let capped = Tset.ctx ~closure_cap:1 Util.paper_universe in
   let rc = Posl_core.Compose.interface Ex.read Ex.client in
-  match Refine.verdict ~opts:(Refine.opts ~depth:3 ()) capped rc rc with
-  | exception Tset.Closure_overflow _ -> ()
-  | v -> Alcotest.failf "expected Closure_overflow, got %s" (Verdict.to_string v)
+  let expect_overflow what decide =
+    match decide () with
+    | exception Tset.Closure_overflow _ -> ()
+    | v ->
+        Alcotest.failf "%s: expected Closure_overflow, got %s" what
+          (Verdict.to_string v)
+  in
+  expect_overflow "refine" (fun () ->
+      Refine.verdict ~opts:(Refine.opts ~depth:3 ()) capped rc rc);
+  expect_overflow "equal" (fun () ->
+      Posl_core.Theory.tset_equal capped ~depth:3 rc rc)
 
 let test_with_name () =
   let s = Spec.with_name "Renamed" Ex.read in

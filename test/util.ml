@@ -60,3 +60,23 @@ let depth_cut_oracle ctx ~alphabet ~depth ~lhs ~proj ~rhs =
   |> function
   | [] -> None
   | h :: _ -> Some h
+
+(* Test-only exact oracle for trace-set equality: the compiled-DFA
+   route production no longer takes.  Both monitors are compiled over
+   [alphabet] ([Tset.compile]) and compared by DFA language inclusion
+   both ways, left in right first.  [Some (Ok ())] when the trace sets
+   are equal, [Some (Error (h, side))] with the canonical
+   (lexicographically-least shortest) witness of the first failing
+   direction otherwise, [None] when a monitor does not compile. *)
+let equal_oracle ctx ~alphabet left right =
+  match (Tset.compile ctx alphabet left, Tset.compile ctx alphabet right) with
+  | Some dl, Some dr ->
+      let trace w = Trace.of_list (List.map (fun s -> alphabet.(s)) w) in
+      Some
+        (match Posl_automata.Dfa.included dl dr with
+        | Error w -> Error (trace w, `Left_only)
+        | Ok () -> (
+            match Posl_automata.Dfa.included dr dl with
+            | Error w -> Error (trace w, `Right_only)
+            | Ok () -> Ok ()))
+  | _ -> None
