@@ -219,18 +219,21 @@ let explore ~complete ~budget (ctx : Tset.ctx) ~(alphabet : Event.t array)
           let l0 = Tset.intern_state ctx lhs0 in
           let r0 = Tset.intern_state ctx rhs0 in
           ignore (admit l0 r0);
-          let expand (l, r, h) next =
+          (* Frontier entries carry their prefix reversed, so extending
+             one is a cons; a counterexample is reversed once. *)
+          let expand (l, r, rev_h) next =
             for s = 0 to n - 1 do
               let l' = lcell l s in
               if l' >= 0 then
                 if proj_mask.(s) then begin
                   let r' = rcell r s in
-                  if r' < 0 then raise (Cex (Trace.snoc h alphabet.(s)));
+                  if r' < 0 then
+                    raise (Cex (List.rev (alphabet.(s) :: rev_h)));
                   if admit l' r' then
-                    next := (l', r', Trace.snoc h alphabet.(s)) :: !next
+                    next := (l', r', alphabet.(s) :: rev_h) :: !next
                 end
                 else if admit l' r then
-                  next := (l', r, Trace.snoc h alphabet.(s)) :: !next
+                  next := (l', r, alphabet.(s) :: rev_h) :: !next
             done
           in
           let rec level d frontier =
@@ -244,7 +247,7 @@ let explore ~complete ~budget (ctx : Tset.ctx) ~(alphabet : Event.t array)
                 level (d + 1) (List.rev !next)
           in
           let result =
-            try level 0 [ (l0, r0, Trace.empty) ]
+            try level 0 [ (l0, r0, []) ]
             with Cex h -> Refuted (certify_inclusion ctx ~lhs ~proj ~rhs h)
           in
           let st = Antichain.stats ac in
@@ -294,7 +297,8 @@ let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
       (* Interned-id BFS over memoized successor rows: a state whose
          whole row is dead is a deadlock.  Discovery order follows
          alphabet order, so the first dead state found carries the
-         lexicographically-least shortest witness. *)
+         lexicographically-least shortest witness.  Prefixes are
+         carried reversed, as in [explore]. *)
       let alphabet = Array.map (Tset.hashcons_event ctx) alphabet in
       let n = Array.length alphabet in
       let rows = Hashtbl.create 256 in
@@ -321,7 +325,7 @@ let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
         else begin
           let next = ref [] in
           List.iter
-            (fun (id, h) ->
+            (fun (id, rev_h) ->
               let r = row id in
               let alive = ref false in
               for s = 0 to n - 1 do
@@ -330,17 +334,17 @@ let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
                   alive := true;
                   if not (Hashtbl.mem visited id') then begin
                     Hashtbl.replace visited id' ();
-                    next := (id', Trace.snoc h alphabet.(s)) :: !next
+                    next := (id', alphabet.(s) :: rev_h) :: !next
                   end
                 end
               done;
-              if not !alive then raise (Stuck h))
+              if not !alive then raise (Stuck (List.rev rev_h)))
             frontier;
           level (d + 1) (List.rev !next)
         end
       in
       (try
-         level 0 [ (id0, Trace.empty) ]
+         level 0 [ (id0, []) ]
        with Stuck witness -> Some (certify_deadlock ctx ~alphabet t witness))
 
 (** The events enabled after [h] — the possible extensions within the

@@ -56,9 +56,10 @@ let busy_ns_c =
     "posl_engine_busy_ns_total"
 
 (* The antichain, interning and DFA metrics live in posl.bmc /
-   posl.tset, where the work happens; [Metrics.counter] and
-   [Metrics.histogram] are get-or-create by name, so redeclaring them
-   here only obtains handles on the same registry cells.  Every DFA
+   posl.tset, and the key-fragment count in [Digest.Memo], where the
+   work happens; [Metrics.counter] and [Metrics.histogram] are
+   get-or-create by name, so redeclaring them here only obtains
+   handles on the same registry cells.  Every DFA
    compile is observed by the compile-time histogram, so its sample
    count is the compile count. *)
 let antichain_pairs_c =
@@ -77,6 +78,11 @@ let interned_states_c =
 let dfa_compile_hist =
   Metrics.histogram ~help:"Time to compile one prs-expression to a DFA, ms"
     "posl_tset_dfa_compile_ms"
+
+let key_fragments_c =
+  Metrics.counter
+    ~help:"Specification key fragments serialized (key memo misses)"
+    "posl_engine_key_fragments_total"
 
 let dfa_hits_c =
   Metrics.counter
@@ -99,6 +105,7 @@ type totals = {
   t_antichain_pairs : int;
   t_antichain_prunes : int;
   t_interned_states : int;
+  t_key_fragments : int;
 }
 
 let read_totals () =
@@ -118,6 +125,7 @@ let read_totals () =
     t_antichain_pairs = Metrics.value antichain_pairs_c;
     t_antichain_prunes = Metrics.value antichain_prunes_c;
     t_interned_states = Metrics.value interned_states_c;
+    t_key_fragments = Metrics.value key_fragments_c;
   }
 
 type t = { base : totals }
@@ -150,6 +158,7 @@ type snapshot = {
   antichain_pairs : int;
   antichain_prunes : int;
   interned_states : int;
+  key_fragments : int;
 }
 
 let snapshot (c : t) : snapshot =
@@ -171,6 +180,7 @@ let snapshot (c : t) : snapshot =
     antichain_pairs = now.t_antichain_pairs - b.t_antichain_pairs;
     antichain_prunes = now.t_antichain_prunes - b.t_antichain_prunes;
     interned_states = now.t_interned_states - b.t_interned_states;
+    key_fragments = now.t_key_fragments - b.t_key_fragments;
   }
 
 let pp_snapshot ppf s =
@@ -178,8 +188,8 @@ let pp_snapshot ppf s =
     "jobs=%d hits=%d misses=%d uncacheable=%d store_hits=%d store_misses=%d \
      store_writes=%d derived_hits=%d plan_fallbacks=%d busy=%.1fms \
      dfa_hits=%d dfa_compiles=%d antichain_pairs=%d \
-     antichain_prunes=%d interned_states=%d"
+     antichain_prunes=%d interned_states=%d key_fragments=%d"
     s.jobs s.hits s.misses s.uncacheable s.store_hits s.store_misses
     s.store_writes s.derived_hits s.plan_fallbacks s.busy_ms s.dfa_hits
     s.dfa_compiles s.antichain_pairs s.antichain_prunes
-    s.interned_states
+    s.interned_states s.key_fragments

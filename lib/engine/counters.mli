@@ -71,6 +71,9 @@ type snapshot = {
   antichain_prunes : int;
       (** candidate pairs subsumed by the antichain (never explored) *)
   interned_states : int;  (** distinct monitor states interned *)
+  key_fragments : int;
+      (** specification key fragments serialized — content-key memo
+          misses ({!Digest.Memo}) *)
 }
 
 val snapshot : t -> snapshot

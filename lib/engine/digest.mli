@@ -33,7 +33,38 @@ val query_base : universe:Universe.t -> Job.query -> t option
     {!query} is [None]. *)
 
 val spec_key : universe:Universe.t -> Spec.t -> string option
-(** The canonical serialization of one specification body (exposed for
-    collision tests); [None] on opaque trace sets. *)
+(** The canonical serialization of one specification body — the
+    {e fragment} keys are assembled from; [None] on opaque trace sets.
+    A [Counting] trace set contributes its formula and its counted
+    event classes. *)
+
+(** {1 Per-session memo}
+
+    The pure functions above re-serialize every specification on every
+    call.  A {!Memo.t} belongs to one universe of one
+    [Engine.session]: it serializes each distinct specification value
+    once and assembles keys from the cached fragments, byte-identical
+    to the pure functions' keys.  Specifications are keyed by physical
+    identity; an entry lives as long as its specification value.
+    Thread- and domain-safe. *)
+module Memo : sig
+  type t
+
+  val create : Universe.t -> t
+
+  val universe_digest : t -> string
+  (** {!Job.universe_digest} of the memo's universe, computed once. *)
+
+  val spec_key : t -> Spec.t -> string option
+  (** {!val-spec_key}, serialized on the first call for each
+      specification value.  Each serialization counts one
+      [posl_engine_key_fragments_total] in the metrics registry. *)
+
+  val query : t -> depth:int -> Job.query -> string option
+  (** Equal to {!query} over the memo's universe. *)
+
+  val query_base : t -> Job.query -> string option
+  (** Equal to {!query_base} over the memo's universe. *)
+end
 
 val pp : Format.formatter -> t -> unit

@@ -76,6 +76,7 @@ type stats = {
   antichain_pairs : int;
   antichain_prunes : int;
   interned_states : int;
+  key_fragments : int;
   busy_ms : float;
   wall_ms : float;
   domains : int;
@@ -130,16 +131,21 @@ let now_ns = Telemetry.now_ns
 (* A session is the warm state a resident caller (the verification
    service, or run_batch for its own lifetime) threads across any
    number of answered requests: the in-memory verdict cache, the
-   optional persistent store, and one shared monitor context (owning
-   its compiled automata) per distinct universe.  Contexts are keyed
-   structurally — two submissions that describe the same universe
-   (e.g. the same spec text sent twice over a socket) share monitors
-   even though the values are not physically equal. *)
+   optional persistent store, and per distinct universe one shared
+   monitor context (owning its compiled automata) and one content-key
+   memo (owning the serialized specification fragments every key is
+   assembled from).  Universes are keyed structurally — two
+   submissions that describe the same universe (e.g. the same spec
+   text sent twice over a socket) share monitors and fragments even
+   though the values are not physically equal; the physical scan
+   first spares the structural comparison on the common path. *)
+type per_universe = { ctx : Tset.ctx; keys : Digest.Memo.t }
+
 type session = {
   s_cache : Cache.t;
   s_store : Store.t option;
   s_lock : Mutex.t;
-  mutable s_ctxs : (Universe.t * Tset.ctx) list;
+  mutable s_universes : (Universe.t * per_universe) list;
 }
 
 let session ?store () =
@@ -147,23 +153,28 @@ let session ?store () =
     s_cache = Cache.create ();
     s_store = store;
     s_lock = Mutex.create ();
-    s_ctxs = [];
+    s_universes = [];
   }
 
 let session_cache s = s.s_cache
 let session_store s = s.s_store
 
-let session_ctx s universe =
-  Mutex.lock s.s_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock s.s_lock)
-    (fun () ->
-      match List.find_opt (fun (u, _) -> u = universe) s.s_ctxs with
-      | Some (_, ctx) -> ctx
+let per_universe s universe =
+  Mutex.protect s.s_lock @@ fun () ->
+  let find eq = List.find_opt (fun (u, _) -> eq u universe) s.s_universes in
+  match find ( == ) with
+  | Some (_, pu) -> pu
+  | None -> (
+      match find ( = ) with
+      | Some (_, pu) -> pu
       | None ->
-          let ctx = Tset.ctx universe in
-          s.s_ctxs <- (universe, ctx) :: s.s_ctxs;
-          ctx)
+          let pu =
+            { ctx = Tset.ctx universe; keys = Digest.Memo.create universe }
+          in
+          s.s_universes <- (universe, pu) :: s.s_universes;
+          pu)
+
+let session_keys s universe = (per_universe s universe).keys
 
 let rec answer ?(plan = Plan.Auto) s counters req =
   Telemetry.with_span "engine.job"
@@ -172,11 +183,11 @@ let rec answer ?(plan = Plan.Auto) s counters req =
   Posl_telemetry.Runtime.with_gc_attrs @@ fun () ->
   let span_id = Telemetry.current_span_id () in
   let t0 = now_ns () in
-  let digest =
-    Digest.query ~universe:req.universe ~depth:req.depth req.query
-  in
+  let { ctx; keys } = per_universe s req.universe in
+  let universe_digest = Digest.Memo.universe_digest keys in
+  let digest = Digest.Memo.query keys ~depth:req.depth req.query in
   let compute_direct () =
-    Job.run (session_ctx s req.universe) ~depth:req.depth req.query
+    Job.run ~universe_digest ctx ~depth:req.depth req.query
   in
   (* The planner sits in front of direct checking, inside the cache
      lookup: a derived verdict is produced on a cache miss and then
@@ -195,14 +206,13 @@ let rec answer ?(plan = Plan.Auto) s counters req =
           (answer ~plan s counters premise_req).verdict
         in
         match
-          Plan.derive ~answer:answer_premise ~universe:req.universe req.query
+          Plan.derive ~answer:answer_premise ~keys req.query
         with
         | Plan.Derived v ->
             Counters.incr_derived_hits counters;
             let elapsed_ms = float_of_int (now_ns () - t0) /. 1e6 in
-            Verdict.with_context ~depth:req.depth
-              ~universe_digest:(Job.universe_digest req.universe)
-              ~elapsed_ms v
+            Verdict.with_context ~depth:req.depth ~universe_digest ~elapsed_ms
+              v
         | Plan.Fallback _reason ->
             Counters.incr_plan_fallbacks counters;
             compute_direct ()
@@ -217,8 +227,7 @@ let rec answer ?(plan = Plan.Auto) s counters req =
     match s.s_store with
     | None -> (false, compute_and_fill ())
     | Some store -> (
-        let base = Digest.query_base ~universe:req.universe req.query in
-        match base with
+        match Digest.Memo.query_base keys req.query with
         | None -> (false, compute_and_fill ())
         | Some bkey -> (
             match Store.find store ~digest:bkey ~depth:req.depth with
@@ -268,11 +277,11 @@ let run_jobs ?domains ?plan s requests =
     match domains with Some d -> max 1 d | None -> Par.default_domains ()
   in
   let counters = Counters.create () in
-  (* Build the shared context of every distinct universe before the
-     workers start, so scheduling never races on context creation
-     (structurally equal universes share one context through the
+  (* Build the shared context and key memo of every distinct universe
+     before the workers start, so scheduling never races on their
+     creation (structurally equal universes share one pair through the
      session registry). *)
-  List.iter (fun req -> ignore (session_ctx s req.universe)) requests;
+  List.iter (fun req -> ignore (per_universe s req.universe)) requests;
   Metrics.set domains_gauge (float_of_int domains);
   let t0 = now_ns () in
   let results =
@@ -300,6 +309,7 @@ let run_jobs ?domains ?plan s requests =
       antichain_pairs = c.Counters.antichain_pairs;
       antichain_prunes = c.Counters.antichain_prunes;
       interned_states = c.Counters.interned_states;
+      key_fragments = c.Counters.key_fragments;
       busy_ms = c.Counters.busy_ms;
       wall_ms;
       domains;

@@ -82,6 +82,10 @@ type stats = {
       (** candidate pairs the antichain subsumed (never explored) *)
   interned_states : int;
       (** distinct monitor states interned into contexts this batch *)
+  key_fragments : int;
+      (** specification key fragments serialized this batch (memo
+          misses of the session's {!session_keys}): one per distinct
+          specification value and universe, however often it occurs *)
   busy_ms : float;  (** summed per-job wall time across workers *)
   wall_ms : float;  (** batch wall time *)
   domains : int;  (** requested worker count *)
@@ -94,11 +98,11 @@ val pp_stats : Format.formatter -> stats -> unit
 
     The warm state a resident caller threads across any number of
     answered requests: the in-memory verdict {!Cache}, the optional
-    persistent store, and one shared monitor context (with its compiled
-    automata) per distinct universe.  {!run_batch} is one throwaway
-    session; the verification service ([posl.serve]) keeps a session
-    alive for the lifetime of the process so every submission lands on
-    warm caches. *)
+    persistent store, and per distinct universe one shared monitor
+    context (with its compiled automata) and one content-key memo.
+    {!run_batch} is one throwaway session; the verification service
+    ([posl.serve]) keeps a session alive for the lifetime of the
+    process so every submission lands on warm caches. *)
 
 type session
 
@@ -109,11 +113,16 @@ val session : ?store:Posl_store.Store.t -> unit -> session
 val session_cache : session -> Cache.t
 val session_store : session -> Posl_store.Store.t option
 
-val session_ctx : session -> Posl_ident.Universe.t -> Posl_tset.Tset.ctx
-(** The session's shared monitor context for [universe], created on
-    first use.  Universes are compared {e structurally}, so repeated
-    submissions of the same spec content share monitors and compiled
-    automata even across distinct values.  Thread- and domain-safe. *)
+val session_keys : session -> Posl_ident.Universe.t -> Digest.Memo.t
+(** The session's content-key memo for [universe], created on first
+    use together with the universe's shared monitor context.  Universes
+    are compared {e structurally}, so repeated submissions of the same
+    spec content share monitors, compiled automata and fragments even
+    across distinct values.  Every key {!answer} computes —
+    the cache digest, the store key, the planner's premise digests and
+    shared-part tests, the verdict's universe digest — is assembled
+    from it, so each specification is serialized once per session and
+    universe.  Sessions never share a memo. *)
 
 val answer : ?plan:Plan.mode -> session -> Counters.t -> request -> result
 (** Answer one request against the session's warm state: in-memory

@@ -65,7 +65,7 @@ let universe_digest u =
   Stdlib.Digest.to_hex
     (Stdlib.Digest.string (Format.asprintf "%a" Universe.pp u))
 
-let run (ctx : Tset.ctx) ~depth query : verdict =
+let run ?universe_digest:udigest (ctx : Tset.ctx) ~depth query : verdict =
   let t0 = Unix.gettimeofday () in
   let v =
     match query with
@@ -99,6 +99,9 @@ let run (ctx : Tset.ctx) ~depth query : verdict =
     | Equal { left; right } -> Theory.tset_equal ctx ~depth left right
   in
   let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  Verdict.with_context ~depth
-    ~universe_digest:(universe_digest (Tset.universe ctx))
-    ~elapsed_ms v
+  let udigest =
+    match udigest with
+    | Some d -> d
+    | None -> universe_digest (Tset.universe ctx)
+  in
+  Verdict.with_context ~depth ~universe_digest:udigest ~elapsed_ms v

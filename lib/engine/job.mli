@@ -50,10 +50,12 @@ val specs : query -> Spec.t list
 val describe : query -> string
 (** E.g. ["Read2 ⊑ Read"], ["Client ‖ WriteAcc"]. *)
 
-val run : Tset.ctx -> depth:int -> query -> verdict
+val run : ?universe_digest:string -> Tset.ctx -> depth:int -> query -> verdict
 (** Decide the query over [ctx]'s universe, serially: parallelism lives
     at the batch level only ({!Engine.run_jobs}).  Deterministic: equal
-    inputs produce {!Verdict.equal} verdicts. *)
+    inputs produce {!Verdict.equal} verdicts.  [universe_digest] must be
+    {!universe_digest} of [ctx]'s universe; a caller that already holds
+    it (an [Engine.session]) passes it to save the rendering. *)
 
 val universe_digest : Posl_ident.Universe.t -> string
 (** MD5 (hex) over the universe's canonical rendering — the

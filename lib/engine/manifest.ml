@@ -232,7 +232,7 @@ let resolve_name specs ~file n =
    position (the spec file and offset at fault) while gaining the
    manifest context in its message, so the rendered string is the same
    ["manifest:line: ..."] the string API always produced. *)
-let request_of_entry ?(path = "manifest") ~load (e : entry) =
+let entry_request ~resolve ~path ~load (e : entry) =
   let err msg =
     Error
       {
@@ -256,7 +256,7 @@ let request_of_entry ?(path = "manifest") ~load (e : entry) =
     List.fold_left
       (fun acc n ->
         let* acc = acc in
-        match resolve_name specs ~file:e.file n with
+        match resolve specs ~file:e.file n with
         | Ok s -> Ok (s :: acc)
         | Error m -> err m)
       (Ok []) e.names
@@ -271,11 +271,27 @@ let request_of_entry ?(path = "manifest") ~load (e : entry) =
   in
   Ok (Engine.request ~label ~depth:e.depth ~universe q)
 
-let elaborate_typed ?path ~load entries =
+let request_of_entry ?(path = "manifest") ~load e =
+  entry_request ~resolve:resolve_name ~path ~load e
+
+(* One elaboration resolves each (file, name token) once, so a
+   composition token repeated across entries denotes one value: its
+   content key is serialized once per session, and its trace set is one
+   monitor of the context. *)
+let elaborate_typed ?(path = "manifest") ~load entries =
+  let memo = Hashtbl.create 8 in
+  let resolve specs ~file n =
+    match Hashtbl.find_opt memo (file, n) with
+    | Some s -> Ok s
+    | None ->
+        let r = resolve_name specs ~file n in
+        Result.iter (Hashtbl.add memo (file, n)) r;
+        r
+  in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | e :: rest ->
-        let* r = request_of_entry ?path ~load e in
+        let* r = entry_request ~resolve ~path ~load e in
         go (r :: acc) rest
   in
   go [] entries

@@ -49,8 +49,8 @@ type answerer = label:string -> Job.query -> Verdict.t
    have no content address; naming the query keeps the provenance
    readable (such premises can still be re-answered, just not by
    digest). *)
-let premise_digest ~universe q =
-  match Digest.query_base ~universe q with
+let premise_digest ~keys q =
+  match Digest.Memo.query_base keys q with
   | Some d -> d
   | None -> "opaque:" ^ Job.describe q
 
@@ -59,8 +59,8 @@ let premise_digest ~universe q =
    objects, alphabet, trace-set structure — see [Digest.spec_key]).
    Opaque trace sets admit no content address, hence no sharing
    claim. *)
-let content_equal ~universe a b =
-  match (Digest.spec_key ~universe a, Digest.spec_key ~universe b) with
+let content_equal ~keys a b =
+  match (Digest.Memo.spec_key keys a, Digest.Memo.spec_key keys b) with
   | Some ka, Some kb -> String.equal ka kb
   | (None | Some _), _ -> false
 
@@ -73,13 +73,13 @@ let exact_holds (v : Verdict.t) =
 let arrangements (lg, ld) (rg, rd) =
   [ (lg, rg, ld, rd); (lg, rd, ld, rg); (ld, rg, lg, rd); (ld, rd, lg, rg) ]
 
-let shared_arrangements ~universe lparts rparts =
+let shared_arrangements ~keys lparts rparts =
   List.filter_map
     (fun (c', c, d', d) ->
-      if content_equal ~universe d' d then Some (c', c, d') else None)
+      if content_equal ~keys d' d then Some (c', c, d') else None)
     (arrangements lparts rparts)
 
-let derived_verdict ~universe ~rule premise_queries =
+let derived_verdict ~keys ~rule premise_queries =
   Verdict.holds ~confidence:Verdict.Exact
     ~provenance:
       (Verdict.provenance
@@ -88,7 +88,7 @@ let derived_verdict ~universe ~rule premise_queries =
               {
                 rule;
                 premises =
-                  List.map (fun q -> premise_digest ~universe q)
+                  List.map (fun q -> premise_digest ~keys q)
                     premise_queries;
               })
          ())
@@ -117,10 +117,10 @@ let establish ~(answer : answerer) queries =
    sub-queries, so the side conditions themselves land in the verdict
    cache and store.  Theorem 18's no-new-objects case is subsumed:
    its α₀ is empty, so the properness premise holds trivially. *)
-let derive_refine ~answer ~universe lparts rparts =
+let derive_refine ~answer ~keys lparts rparts =
   Telemetry.with_span "plan.decompose" ~attrs:[ ("kind", "refine") ]
   @@ fun () ->
-  match shared_arrangements ~universe lparts rparts with
+  match shared_arrangements ~keys lparts rparts with
   | [] -> Fallback "the compositions share no component (by content)"
   | viable ->
       let try_one (c', c, delta) =
@@ -142,7 +142,7 @@ let derive_refine ~answer ~universe lparts rparts =
           side_conditions @ [ ("refines", Job.refine ~refined:c' ~abstract:c) ]
         in
         match establish ~answer queries with
-        | Some premises -> Some (derived_verdict ~universe ~rule premises)
+        | Some premises -> Some (derived_verdict ~keys ~rule premises)
         | None -> None
       in
       (match List.find_map try_one viable with
@@ -157,23 +157,23 @@ let derive_refine ~answer ~universe lparts rparts =
    sub-query) pins the two composites to the same trace set.  A
    content-equal changed pair (e.g. Γ‖∆ vs ∆‖Γ, commutativity) needs
    no sub-query at all. *)
-let derive_equal ~answer ~universe lparts rparts =
+let derive_equal ~answer ~keys lparts rparts =
   Telemetry.with_span "plan.decompose" ~attrs:[ ("kind", "equal") ]
   @@ fun () ->
-  match shared_arrangements ~universe lparts rparts with
+  match shared_arrangements ~keys lparts rparts with
   | [] -> Fallback "the compositions share no component (by content)"
   | viable ->
       let try_one (c', c, _delta) =
         if not (Oid.Set.equal (Spec.objs c') (Spec.objs c)) then None
         else if not (Eventset.equal (Spec.alpha c') (Spec.alpha c)) then None
-        else if content_equal ~universe c' c then
-          Some (derived_verdict ~universe ~rule:"equal-congruence" [])
+        else if content_equal ~keys c' c then
+          Some (derived_verdict ~keys ~rule:"equal-congruence" [])
         else
           match
             establish ~answer [ ("equal", Job.equal ~left:c' ~right:c) ]
           with
           | Some premises ->
-              Some (derived_verdict ~universe ~rule:"equal-congruence" premises)
+              Some (derived_verdict ~keys ~rule:"equal-congruence" premises)
           | None -> None
       in
       (match List.find_map try_one viable with
@@ -181,7 +181,7 @@ let derive_equal ~answer ~universe lparts rparts =
       | None ->
           Fallback "a side condition failed or a premise was not exact")
 
-let derive ~answer ~universe query =
+let derive ~answer ~keys query =
   match query with
   | Job.Refine { refined; abstract } -> (
       match (Spec.parts refined, Spec.parts abstract) with
@@ -189,12 +189,12 @@ let derive ~answer ~universe query =
       | Some _, None | None, Some _ ->
           Fallback "only one operand is a composition: no rule applies"
       | Some lparts, Some rparts ->
-          derive_refine ~answer ~universe lparts rparts)
+          derive_refine ~answer ~keys lparts rparts)
   | Job.Equal { left; right } -> (
       match (Spec.parts left, Spec.parts right) with
       | None, None -> Not_composite
       | Some _, None | None, Some _ ->
           Fallback "only one operand is a composition: no rule applies"
       | Some lparts, Some rparts ->
-          derive_equal ~answer ~universe lparts rparts)
+          derive_equal ~answer ~keys lparts rparts)
   | Job.Compose _ | Job.Proper _ | Job.Deadlock _ -> Not_composite

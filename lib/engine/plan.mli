@@ -46,11 +46,9 @@ type answerer = label:string -> Job.query -> Posl_verdict.Verdict.t
     premises hit the warm cache/store, are recorded under their own
     digests, and may themselves be decomposed recursively. *)
 
-val derive :
-  answer:answerer ->
-  universe:Posl_ident.Universe.t ->
-  Job.query ->
-  outcome
-(** Attempt to answer [query] compositionally.  Emits a
+val derive : answer:answerer -> keys:Digest.Memo.t -> Job.query -> outcome
+(** Attempt to answer [query] compositionally over the universe of
+    [keys], the session's key memo: shared components are recognised
+    and premises recorded by their memoized content keys.  Emits a
     [plan.decompose] span per attempted decomposition and a
     [plan.premise] span per premise sub-query. *)

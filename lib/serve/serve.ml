@@ -99,8 +99,19 @@ type server = {
   conns : (Unix.file_descr, unit) Hashtbl.t;
   load_lock : Mutex.t;
   (* keyed by (extra_objects, path) resp. (extra_objects, source text) *)
-  file_memo : (int * string, (Spec.t list * Posl_ident.Universe.t, string) result) Hashtbl.t;
-  text_memo : (int * string, (Spec.t list * Posl_ident.Universe.t, string) result) Hashtbl.t;
+  file_memo : (int * string, (corpus, string) result) Hashtbl.t;
+  text_memo : (int * string, (corpus, string) result) Hashtbl.t;
+}
+
+(* A loaded spec source.  Name tokens resolve once per loaded text:
+   a composition token ("A||B") builds a fresh [Compose.compose] value,
+   and resolving it per request would hand the session's key memo a new
+   specification (one more fragment serialization) on every request. *)
+and corpus = {
+  specs : Spec.t list;
+  universe : Posl_ident.Universe.t;
+  resolved : (string, Spec.t) Hashtbl.t;
+      (* name token -> resolved spec; guarded by [load_lock] *)
 }
 
 let sched server = Option.get server.sched
@@ -120,24 +131,40 @@ let memoized lock memo key compute =
   Mutex.unlock lock;
   r
 
+let corpus ~extra specs =
+  {
+    specs;
+    universe = Spec.adequate_universe ~extra_objects:extra specs;
+    resolved = Hashtbl.create 8;
+  }
+
 let load_file server ~extra path =
   memoized server.load_lock server.file_memo (extra, path) (fun () ->
       match Lang.specs_of_file path with
       | exception Sys_error e -> Error e
       | Error e -> Error (Format.asprintf "%s: %a" path Lang.pp_error e)
-      | Ok specs ->
-          Ok (specs, Spec.adequate_universe ~extra_objects:extra specs))
+      | Ok specs -> Ok (corpus ~extra specs))
 
 let load_text server ~extra text =
   memoized server.load_lock server.text_memo (extra, text) (fun () ->
       match Lang.specs_of_string text with
       | Error e -> Error (Format.asprintf "inline spec: %a" Lang.pp_error e)
-      | Ok specs ->
-          Ok (specs, Spec.adequate_universe ~extra_objects:extra specs))
+      | Ok specs -> Ok (corpus ~extra specs))
+
+(* Composition tokens ("A||B") resolve here too, so wire queries are
+   planner-eligible like manifest entries.  Failures are not kept. *)
+let resolve server ~origin c name =
+  Mutex.protect server.load_lock @@ fun () ->
+  match Hashtbl.find_opt c.resolved name with
+  | Some s -> Ok s
+  | None ->
+      let r = Manifest.resolve_name c.specs ~file:origin name in
+      Result.iter (Hashtbl.add c.resolved name) r;
+      r
 
 (* Resolve a [queries] array against loaded specs, labelling results the
    way the CLI batch table does. *)
-let named_requests ~origin ~depth (specs, universe) queries =
+let named_requests server ~origin ~depth c queries =
   let ( let* ) = Result.bind in
   List.fold_left
     (fun acc (q : Wire.query_ref) ->
@@ -146,9 +173,7 @@ let named_requests ~origin ~depth (specs, universe) queries =
         List.fold_left
           (fun acc name ->
             let* acc = acc in
-            (* composition tokens ("A||B") resolve here too, so wire
-               queries are planner-eligible like manifest entries *)
-            let* s = Manifest.resolve_name specs ~file:origin name in
+            let* s = resolve server ~origin c name in
             Ok (s :: acc))
           (Ok []) q.Wire.names
         |> Result.map List.rev
@@ -158,7 +183,7 @@ let named_requests ~origin ~depth (specs, universe) queries =
         Printf.sprintf "%s: %s" (Filename.basename origin)
           (Job.describe query)
       in
-      Ok (Engine.request ~label ~depth ~universe query :: acc))
+      Ok (Engine.request ~label ~depth ~universe:c.universe query :: acc))
     (Ok []) queries
   |> Result.map List.rev
 
@@ -168,18 +193,20 @@ let requests_of_submit server (s : Wire.submit) =
   let ( let* ) = Result.bind in
   match s.Wire.file, s.Wire.spec_text, s.Wire.manifest, s.Wire.manifest_text with
   | Some path, _, _, _ ->
-      let* loaded = load_file server ~extra path in
-      named_requests ~origin:path ~depth loaded s.Wire.queries
+      let* c = load_file server ~extra path in
+      named_requests server ~origin:path ~depth c s.Wire.queries
   | _, Some text, _, _ ->
-      let* loaded = load_text server ~extra text in
-      named_requests ~origin:"inline" ~depth loaded s.Wire.queries
+      let* c = load_text server ~extra text in
+      named_requests server ~origin:"inline" ~depth c s.Wire.queries
   | _, _, Some path, _ ->
       Result.map_error Manifest.input_error_detail
         (Manifest.requests_of_file_typed ~default_depth:depth
            ~extra_objects:extra path)
   | _, _, _, Some text ->
       Manifest.requests_of_string ~default_depth:depth
-        ~load:(fun path -> load_file server ~extra path)
+        ~load:(fun path ->
+          load_file server ~extra path
+          |> Result.map (fun c -> (c.specs, c.universe)))
         text
   | None, None, None, None -> Error "submit carried no spec source"
 
@@ -253,6 +280,7 @@ let stats_json server =
             ("plan_fallbacks", Json.Int c.Counters.plan_fallbacks);
             ("dfa_cache_hits", Json.Int c.Counters.dfa_hits);
             ("dfa_compiles", Json.Int c.Counters.dfa_compiles);
+            ("key_fragments", Json.Int c.Counters.key_fragments);
             ("busy_ms", Json.Float c.Counters.busy_ms);
           ] );
     ]

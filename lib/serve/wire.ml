@@ -257,6 +257,7 @@ let json_of_stats (s : Engine.stats) ~failed =
       ("plan_fallbacks", Json.Int s.Engine.plan_fallbacks);
       ("dfa_cache_hits", Json.Int s.Engine.dfa_cache_hits);
       ("dfa_compiles", Json.Int s.Engine.dfa_compiles);
+      ("key_fragments", Json.Int s.Engine.key_fragments);
       ("busy_ms", Json.Float s.Engine.busy_ms);
       ("wall_ms", Json.Float s.Engine.wall_ms);
       ("domains", Json.Int s.Engine.domains);

@@ -190,8 +190,7 @@ let closure_cap c = c.closure_cap
 
 let with_intern c f =
   let it = c.intern in
-  Mutex.lock it.i_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock it.i_lock) (fun () -> f it)
+  Mutex.protect it.i_lock (fun () -> f it)
 
 (* Composite ids are assigned under the same lock as state ids; the
    macro view of an [S_product] is computed once, at interning time,

@@ -204,6 +204,40 @@ expect 0 "store gc" store gc "$tmp/store" --manifest "$SPECS/batch.manifest"
 expect 0 "store verify after gc" store verify "$tmp/store"
 expect 2 "store stats on missing dir" store stats "$tmp/no-such-store"
 
+# Counting constraints are keyed by their counted classes, not just
+# the formula: editing "#OW - #CW <= 1" into "#OR - #CR <= 1" must miss
+# the store and flip the verdict (refuted, then holds).
+cat >"$tmp/count.oun" <<EOF
+spec X {
+  objects o;
+  sort Env = all except { o };
+  alphabet call Env -> o : OW, CW, OR, CR;
+  traces prs (bind x in Env . (<x,o,OW> <x,o,OW>))*;
+}
+
+spec Y {
+  objects o;
+  sort Env = all except { o };
+  alphabet call Env -> o : OW, CW, OR, CR;
+  traces count #OW - #CW <= 1;
+}
+EOF
+printf 'use %s\nrefine X Y\n' "$tmp/count.oun" >"$tmp/count.manifest"
+"$BIN" batch "$tmp/count.manifest" --store "$tmp/cstore" >"$tmp/count1.out" 2>&1
+c1=$?
+sed -i 's/#OW - #CW <= 1/#OR - #CR <= 1/' "$tmp/count.oun"
+"$BIN" batch "$tmp/count.manifest" --store "$tmp/cstore" >"$tmp/count2.out" 2>&1
+c2=$?
+if [ "$c1" -ne 1 ] || [ "$c2" -ne 0 ]; then
+  echo "FAIL counting store key: verdict did not flip (exit $c1 then $c2)" >&2
+  fails=$((fails + 1))
+elif ! tail -n 1 "$tmp/count2.out" | grep -q '"store_hits":0,"store_misses":1,'; then
+  echo "FAIL counting store key: edit was not a store miss" >&2
+  fails=$((fails + 1))
+else
+  echo "ok   batch --store re-verifies an edited counting constraint"
+fi
+
 # Single-query --store shares the same records the batch wrote.
 expect 0 "single query --store" refine "$SPECS/paper.oun" Read2 Read --store "$tmp/store"
 

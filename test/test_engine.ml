@@ -230,6 +230,129 @@ let test_digest_separates_kinds_and_depth () =
   Util.check_bool "depth separated" true
     (Dig.query ~universe:u ~depth:4 q <> Dig.query ~universe:u ~depth:6 q)
 
+(* Example 3's counting constraints print their classes by index only
+   (#c0 - #c1); the key must carry the classes themselves, or two specs
+   counting different events share cached verdicts. *)
+let test_counting_classes_key_apart () =
+  let _, uw, qw = Util.counting_query Util.counted_writes in
+  let _, ur, qr = Util.counting_query Util.counted_reads in
+  Util.check_bool "same universe" true (uw = ur);
+  let y = function
+    | Job.Refine { abstract; _ } -> abstract
+    | _ -> assert false
+  in
+  Util.check_bool "Y keys apart" true
+    (Dig.spec_key ~universe:uw (y qw) <> Dig.spec_key ~universe:ur (y qr));
+  Util.check_bool "queries key apart" true
+    (Dig.query_base ~universe:uw qw <> Dig.query_base ~universe:ur qr);
+  let results, _ =
+    Engine.run_batch ~domains:1
+      [ Engine.request ~universe:uw qw; Engine.request ~universe:ur qr ]
+  in
+  Alcotest.(check (list bool))
+    "X refines only the read-counting Y" [ false; true ]
+    (List.map (fun r -> V.to_bool r.Engine.verdict) results)
+
+(* --- the session's key memo ------------------------------------------ *)
+
+(* Every key the memo assembles is byte-equal to the pure reference. *)
+let check_memo_matches keys ~universe ~depth (q : Job.query) =
+  List.iter
+    (fun s ->
+      Alcotest.(check (option string))
+        ("spec_key " ^ Spec.name s)
+        (Dig.spec_key ~universe s) (Dig.Memo.spec_key keys s))
+    (Job.specs q);
+  Alcotest.(check (option string))
+    ("query " ^ Job.describe q)
+    (Dig.query ~universe ~depth q)
+    (Dig.Memo.query keys ~depth q);
+  Alcotest.(check (option string))
+    ("query_base " ^ Job.describe q)
+    (Dig.query_base ~universe q)
+    (Dig.Memo.query_base keys q);
+  Alcotest.(check string) "universe digest"
+    (Job.universe_digest universe)
+    (Dig.Memo.universe_digest keys)
+
+let test_memo_matches_paper_specs () =
+  let keys = Dig.Memo.create u in
+  (* twice: the second pass reads the memo *)
+  for _ = 1 to 2 do
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            check_memo_matches keys ~universe:u ~depth
+              (Job.Refine { refined = a; abstract = b });
+            check_memo_matches keys ~universe:u ~depth
+              (Job.Proper { refined = a; abstract = b; context = Ex.client }))
+          Ex.all_specs)
+      Ex.all_specs
+  done
+
+(* The shipped manifests, through a real session: the engine's result
+   digests and the memo's keys equal the pure reference, and a cold
+   batch serializes one fragment per distinct (spec, universe) pair,
+   not one per operand occurrence. *)
+let manifest_requests name =
+  match
+    Posl_engine.Manifest.requests_of_file ~default_depth:6 ~extra_objects:2
+      (Util.example_file name)
+  with
+  | Ok rs -> rs
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+let distinct_operands requests =
+  List.fold_left
+    (fun acc (r : Engine.request) ->
+      List.fold_left
+        (fun acc s ->
+          if
+            List.exists
+              (fun (s', u') -> s' == s && u' = r.Engine.universe)
+              acc
+          then acc
+          else (s, r.Engine.universe) :: acc)
+        acc (Job.specs r.Engine.query))
+    [] requests
+
+let test_memo_matches_manifest name () =
+  let requests = manifest_requests name in
+  let session = Engine.session () in
+  let results, stats = Engine.run_jobs ~domains:1 session requests in
+  List.iter
+    (fun (r : Engine.result) ->
+      let q = r.Engine.request in
+      Alcotest.(check (option string))
+        ("result digest " ^ q.Engine.label)
+        (Dig.query ~universe:q.Engine.universe ~depth:q.Engine.depth
+           q.Engine.query)
+        r.Engine.digest;
+      check_memo_matches
+        (Engine.session_keys session q.Engine.universe)
+        ~universe:q.Engine.universe ~depth:q.Engine.depth q.Engine.query)
+    results;
+  if name = "batch.manifest" then
+    Util.check_int "one fragment per distinct (spec, universe)"
+      (List.length (distinct_operands requests))
+      stats.Engine.key_fragments
+
+let test_sessions_do_not_share_memo () =
+  let batch = paper_batch () in
+  let s1 = Engine.session () and s2 = Engine.session () in
+  Util.check_bool "distinct memos" true
+    (Engine.session_keys s1 u != Engine.session_keys s2 u);
+  let _, st1 = Engine.run_jobs ~domains:1 s1 batch in
+  let _, st2 = Engine.run_jobs ~domains:1 s2 batch in
+  let _, st1' = Engine.run_jobs ~domains:1 s1 batch in
+  Util.check_bool "a cold session serializes" true
+    (st1.Engine.key_fragments > 0);
+  Util.check_int "a second session serializes afresh"
+    st1.Engine.key_fragments st2.Engine.key_fragments;
+  Util.check_int "a warm session serializes nothing" 0
+    st1'.Engine.key_fragments
+
 (* --- randomized properties ------------------------------------------ *)
 
 let sc = Gen.default_scenario
@@ -252,6 +375,18 @@ let qsuite =
         stats.Engine.cache_hits = 1
         && verdicts_equal (verdicts first) (verdicts second)
         && verdicts_equal (verdicts second) [ fresh ]);
+    Util.qtest ~count:60 "memo: keys equal the pure reference"
+      (G.pair (Gen.interface_spec sc k0) (Gen.interface_spec sc k0))
+      (fun (a, b) ->
+        let keys = Dig.Memo.create sc.Gen.universe in
+        let universe = sc.Gen.universe in
+        List.for_all
+          (fun q ->
+            Dig.Memo.query keys ~depth:3 q = Dig.query ~universe ~depth:3 q
+            && Dig.Memo.query_base keys q = Dig.query_base ~universe q)
+          [ Job.Refine { refined = a; abstract = b };
+            Job.Equal { left = b; right = a } ]
+        && Dig.Memo.spec_key keys a = Dig.spec_key ~universe a);
     (* (c) digest collisions do not conflate distinct queries *)
     Util.qtest ~count:60 "digest: equal keys ⟹ semantically equal specs"
       (G.pair (Gen.interface_spec sc k0) (Gen.interface_spec sc k0))
@@ -303,5 +438,15 @@ let suite =
       test_digest_separates_paper_specs;
     Alcotest.test_case "digest separates kinds and depths" `Quick
       test_digest_separates_kinds_and_depth;
+    Alcotest.test_case "digest keeps counted classes apart" `Quick
+      test_counting_classes_key_apart;
+    Alcotest.test_case "memo keys equal reference on the paper specs" `Quick
+      test_memo_matches_paper_specs;
+    Alcotest.test_case "memo keys equal reference on batch.manifest" `Quick
+      (test_memo_matches_manifest "batch.manifest");
+    Alcotest.test_case "memo keys equal reference on fleet.manifest" `Quick
+      (test_memo_matches_manifest "fleet.manifest");
+    Alcotest.test_case "sessions do not share a key memo" `Quick
+      test_sessions_do_not_share_memo;
   ]
   @ qsuite

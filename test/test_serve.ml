@@ -393,6 +393,31 @@ let test_submit_composite_tokens () =
       Alcotest.(check bool) "unknown part is an input error" true
         (error_code bad = Some "input"))
 
+(* A composition token names one value per loaded text: answering the
+   same composite query again must not hand the session's key memo a
+   new specification to serialize. *)
+let test_composite_repeat_adds_no_fragments () =
+  with_server ~workers:1 (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let fragments () =
+        let engine =
+          get_field "engine" (call_ok c (Wire.request_json Wire.Stats))
+        in
+        match get_field "key_fragments" engine with
+        | Json.Int n -> n
+        | _ -> Alcotest.fail "key_fragments is not an int"
+      in
+      let query = submit [ ("refine", [ "CompL||CompR"; "CompL2||CompR" ]) ] in
+      ignore (call_ok c query);
+      let after_first = fragments () in
+      Alcotest.(check bool) "the first answer serializes" true
+        (after_first > 0);
+      for _ = 2 to 50 do
+        ignore (call_ok c query)
+      done;
+      Util.check_int "49 repeats serialize nothing" after_first (fragments ()))
+
 let test_concurrent_clients_agree () =
   with_server ~workers:3 (fun addr ->
       let queries =
@@ -703,6 +728,8 @@ let suite =
       test_submit_equals_direct;
     Alcotest.test_case "live: composite tokens derive and agree" `Quick
       test_submit_composite_tokens;
+    Alcotest.test_case "live: repeated composite tokens add no key fragments"
+      `Quick test_composite_repeat_adds_no_fragments;
     Alcotest.test_case "live: concurrent clients agree with direct runs" `Quick
       test_concurrent_clients_agree;
     Alcotest.test_case "live: repeated digest hits the warm cache" `Quick

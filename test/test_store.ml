@@ -265,6 +265,28 @@ let test_deeper_request_recomputes () =
       Util.check_int "bounded@3 cannot answer depth 6" 1
         st2.Engine.cache_misses
 
+(* A store written for one counting constraint must not answer a spec
+   that counts different events: the edit misses the store, and the
+   fresh verdict is the opposite one. *)
+let test_counting_edit_misses_store () =
+  let dir = fresh_dir () in
+  let run counted =
+    let _, universe, q = Util.counting_query counted in
+    let s = Store.open_ dir in
+    let results, stats =
+      Engine.run_batch ~domains:1 ~store:s [ Engine.request ~universe q ]
+    in
+    Store.close s;
+    (V.to_bool (List.hd results).Engine.verdict, stats)
+  in
+  let before, _ = run Util.counted_writes in
+  let after, stats = run Util.counted_reads in
+  Util.check_bool "write-counting Y refuted" false before;
+  Util.check_int "read-counting Y misses the store" 1
+    stats.Engine.store_misses;
+  Util.check_int "no store hit" 0 stats.Engine.store_hits;
+  Util.check_bool "read-counting Y holds" true after
+
 let test_gc_drops_unreferenced () =
   let dir = fresh_dir () in
   let s = Store.open_ dir in
@@ -336,6 +358,8 @@ let suite =
       test_second_run_recomputes_nothing;
     Alcotest.test_case "deeper requests bypass shallow records" `Quick
       test_deeper_request_recomputes;
+    Alcotest.test_case "an edited counting constraint misses the store"
+      `Quick test_counting_edit_misses_store;
     Alcotest.test_case "gc drops unreferenced and superseded records" `Quick
       test_gc_drops_unreferenced;
     Alcotest.test_case "two handles interleave appends safely" `Quick

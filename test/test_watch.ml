@@ -179,6 +179,31 @@ let test_corpus_changes_neutral () =
   in
   check_int "comment edit changes nothing" 0 (List.length changed)
 
+(* Editing only the classes a counting constraint counts changes the
+   spec's content: the diff names it and its query is invalidated. *)
+let test_corpus_changes_counting () =
+  let old_specs, old_universe, _ = Util.counting_query Util.counted_writes in
+  let specs, universe, _ = Util.counting_query Util.counted_reads in
+  let changed =
+    Deps.corpus_changes ~file:"count.oun" ~old_specs ~old_universe ~specs
+      ~universe
+  in
+  check_bool "the changed input is Y" true
+    (match changed with
+    | [ Deps.In_spec { name = "Y"; _ } ] -> true
+    | _ -> false);
+  let entries =
+    match
+      Manifest.entries_typed ~path:"count.manifest" ~default_depth:6
+        "use count.oun\nrefine X Y\n"
+    with
+    | Ok es -> es
+    | Error e -> Alcotest.failf "manifest: %s" (Manifest.input_error_message e)
+  in
+  Alcotest.(check (list int))
+    "refine X Y invalidated" [ 0 ]
+    (Deps.invalidate (Deps.of_entries entries) ~changed)
+
 (* The soundness direction of the dep map, as a property: under a
    universe-preserving edit to GaugeR's body, every query whose
    footprint does NOT mention GaugeR keeps its exact base digest (the
@@ -412,6 +437,8 @@ let suite =
       test_corpus_changes_gauger;
     Alcotest.test_case "corpus diff: Gauge2 edit hits six queries" `Quick
       test_corpus_changes_gauge2;
+    Alcotest.test_case "corpus diff: counted-class edit hits its query"
+      `Quick test_corpus_changes_counting;
     Alcotest.test_case "corpus diff: comment edit hits nothing" `Quick
       test_corpus_changes_neutral;
     test_depset_property;

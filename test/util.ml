@@ -80,3 +80,54 @@ let equal_oracle ctx ~alphabet left right =
             | Error w -> Error (trace w, `Right_only)
             | Ok () -> Ok ()))
   | _ -> None
+
+(* Example 3-style counting fixture: two spec texts that differ only in
+   the event classes Y's counting constraint counts.  X opens for
+   writing twice in a row, so X ⋢ Y when Y bounds #OW - #CW and X ⊑ Y
+   when it bounds #OR - #CR.  Both texts have the same adequate
+   universe, so only Y's content key can tell them apart. *)
+let counted_writes = "#OW - #CW <= 1"
+let counted_reads = "#OR - #CR <= 1"
+
+let counting_text counted =
+  Printf.sprintf
+    {|spec X {
+  objects o;
+  sort Env = all except { o };
+  alphabet call Env -> o : OW, CW, OR, CR;
+  traces prs (bind x in Env . (<x,o,OW> <x,o,OW>))*;
+}
+
+spec Y {
+  objects o;
+  sort Env = all except { o };
+  alphabet call Env -> o : OW, CW, OR, CR;
+  traces count %s;
+}
+|}
+    counted
+
+(* Specs and adequate universe of [counting_text counted], plus the
+   [refine X Y] query over them. *)
+let counting_query counted =
+  match Posl_lang.Lang.specs_of_string (counting_text counted) with
+  | Error e ->
+      Alcotest.failf "counting fixture: %a" Posl_lang.Lang.pp_error e
+  | Ok specs ->
+      let get n = Option.get (Posl_lang.Lang.lookup specs n) in
+      ( specs,
+        Posl_core.Spec.adequate_universe ~extra_objects:2 specs,
+        Posl_engine.Job.refine ~refined:(get "X") ~abstract:(get "Y") )
+
+(* A shipped example file, from the test's build directory or the
+   repository root. *)
+let example_file name =
+  let candidates =
+    [
+      Filename.concat "../examples/specs" name;
+      Filename.concat "examples/specs" name;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some f -> f
+  | None -> Alcotest.failf "example file %s not found" name
