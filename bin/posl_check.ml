@@ -45,7 +45,6 @@ module Telemetry = Posl_telemetry.Telemetry
 module Metrics = Posl_telemetry.Metrics
 module Tlog = Posl_telemetry.Log
 module Runtime = Posl_telemetry.Runtime
-module Trajectory = Posl_report.Trajectory
 
 let exit_verdict = 1
 let exit_input = 2
@@ -1390,117 +1389,6 @@ let session_cmd =
       $ plan_arg $ store_arg $ poll_ms_arg $ rounds_limit_arg $ watch_json_arg
       $ session_dir_arg $ window_arg $ trace_arg $ metrics_arg $ log_arg)
 
-(* ------------------------------------------------------------------ *)
-(* report: perf-trajectory regression report                           *)
-(* ------------------------------------------------------------------ *)
-
-let report_cmd =
-  let baseline_arg =
-    Arg.(
-      value & opt string "."
-      & info [ "baseline" ] ~docv:"DIR"
-          ~doc:
-            "Directory holding the committed campaign snapshots \
-             (BENCH_*.json); every campaign found here is compared.")
-  in
-  let live_arg =
-    Arg.(
-      value & opt string "_build/bench"
-      & info [ "live" ] ~docv:"DIR"
-          ~doc:"Directory holding the fresh bench run's BENCH_*.json files.")
-  in
-  let report_metrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Prometheus text exposition whose unlabelled samples are \
-             appended as a runtime section of the report.")
-  in
-  let slack_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "slack" ] ~docv:"X"
-          ~doc:
-            "Tolerance multiplier: timings may grow to $(docv) x baseline \
-             and rates may fall to baseline / $(docv) before a check fails. \
-             Boolean claims get no slack.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the machine-readable report to this file.")
-  in
-  let md_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "md" ] ~docv:"PATH"
-          ~doc:
-            "Write the markdown report to this file (it always goes to \
-             stdout too).")
-  in
-  let gate_arg =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:
-            "Perf-gate mode: exit 1 when any campaign regressed or its \
-             live file is missing.")
-  in
-  let run baseline live metrics_file slack json_path md_path gate =
-    code
-      (match
-         Trajectory.run ~slack ?metrics_file ~baseline_dir:baseline
-           ~live_dir:live ()
-       with
-      | Error m -> Error (Input m)
-      | Ok t ->
-          let md = Trajectory.to_markdown t in
-          print_string md;
-          let write path content =
-            try
-              let oc = open_out path in
-              Fun.protect
-                ~finally:(fun () -> close_out_noerr oc)
-                (fun () -> output_string oc content);
-              Ok ()
-            with Sys_error m -> Error (Input m)
-          in
-          let* () =
-            match md_path with None -> Ok () | Some p -> write p md
-          in
-          let* () =
-            match json_path with
-            | None -> Ok ()
-            | Some p -> write p (Json.to_string (Trajectory.to_json t) ^ "\n")
-          in
-          if gate && not t.Trajectory.ok then
-            Error
-              (Verdict
-                 (Printf.sprintf "perf gate: %d campaign(s) not passing"
-                    (List.length
-                       (List.filter
-                          (fun (c : Trajectory.campaign) ->
-                            c.Trajectory.status <> Trajectory.Pass)
-                          t.Trajectory.campaigns))))
-          else Ok ())
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Compare a fresh bench run against the committed BENCH_*.json \
-          snapshots and render a perf-trajectory report (markdown to \
-          stdout, optionally JSON): boolean paper claims are hard gates, \
-          timings and rates get a slack multiplier.  With $(b,--gate), any \
-          regression or missing live campaign exits 1 — CI's perf gate.")
-    Term.(
-      const run $ baseline_arg $ live_arg $ report_metrics_arg $ slack_arg
-      $ json_arg $ md_arg $ gate_arg)
-
 let main_cmd =
   let doc = "composition and refinement checker for partial object specifications" in
   let info = Cmd.info "posl-check" ~version:"1.1.0" ~doc in
@@ -1522,7 +1410,6 @@ let main_cmd =
       store_cmd;
       serve_cmd;
       loadgen_cmd;
-      report_cmd;
       json_cmd;
     ]
 

@@ -49,9 +49,8 @@ val check_inclusion :
 (** Does every trace of [lhs] over [alphabet] satisfy [h/proj ∈ rhs]?
     Clause 3 of Def. 2 is [lhs = T(Γ′), proj = α(Γ), rhs = T(Γ)].
     Decided on the fly over interned state ids with memoized successor
-    rows, pruning frontier pairs whose rhs macro-state ([Product]
-    subset construction) is subsumed by an already-visited one
-    ({!Antichain}).  Refutations carry a genuine [lhs] trace: the
+    rows, visiting each (lhs, rhs) state pair at most once.
+    Refutations carry a genuine [lhs] trace: the
     lexicographically-least shortest violating one, the same canonical
     witness the compiled-automata route produces.
 

@@ -20,7 +20,7 @@ module Verdict = Posl_verdict.Verdict
 
 type strategy =
   | Auto
-      (** on-the-fly antichain inclusion ({!Posl_bmc.Bmc.check_inclusion});
+      (** on-the-fly inclusion ({!Posl_bmc.Bmc.check_inclusion});
           on closure overflow past the depth bound, the same explorer
           cut at the depth *)
   | Automata_only
@@ -44,7 +44,7 @@ val verdict : ?opts:opts -> Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
     verdicts are relative to [ctx]'s universe.  Clause 1–2 failures
     report the [Symbolic] procedure with [Objects_missing] /
     [Events_missing] evidence; clause 3 reports [Automata] for an
-    exact inclusion decision (compiled or antichain-exhausted, both
+    exact inclusion decision (compiled or explorer-exhausted, both
     with the same canonical lexicographically-least shortest
     counterexamples) and [Bounded_search] for a depth-cut run.
     Counterexamples from every route are certified against

@@ -55,7 +55,7 @@ let busy_ns_c =
   Metrics.counter ~help:"Summed per-job wall time, nanoseconds"
     "posl_engine_busy_ns_total"
 
-(* The antichain, interning and DFA metrics live in posl.bmc /
+(* The explorer, interning and DFA metrics live in posl.bmc /
    posl.tset, and the key-fragment count in [Digest.Memo], where the
    work happens; [Metrics.counter] and [Metrics.histogram] are
    get-or-create by name, so redeclaring them here only obtains
@@ -63,12 +63,12 @@ let busy_ns_c =
    compile is observed by the compile-time histogram, so its sample
    count is the compile count. *)
 let antichain_pairs_c =
-  Metrics.counter ~help:"Product pairs admitted by antichain inclusion checks"
+  Metrics.counter ~help:"Frontier pairs admitted by the inclusion explorer"
     "posl_bmc_antichain_pairs_total"
 
 let antichain_prunes_c =
   Metrics.counter
-    ~help:"Candidate pairs subsumed by the antichain (never explored)"
+    ~help:"Frontier pairs dropped on arrival as already visited"
     "posl_bmc_antichain_prunes_total"
 
 let interned_states_c =

@@ -67,9 +67,9 @@ type snapshot = {
   dfa_hits : int;  (** compiled automata served from a context's memo *)
   dfa_compiles : int;  (** prs-expressions compiled to DFAs *)
   antichain_pairs : int;
-      (** product pairs admitted by antichain inclusion checks *)
+      (** product pairs admitted by on-the-fly inclusion checks *)
   antichain_prunes : int;
-      (** candidate pairs subsumed by the antichain (never explored) *)
+      (** candidate pairs dropped on arrival as already visited *)
   interned_states : int;  (** distinct monitor states interned *)
   key_fragments : int;
       (** specification key fragments serialized — content-key memo

@@ -118,7 +118,7 @@ let pp_stats ppf s =
     (if s.dfa_cache_hits = 1 then "" else "s")
     (if s.antichain_pairs = 0 && s.interned_states = 0 then ""
      else
-       Printf.sprintf "; antichain: %d pair%s, %d pruned; %d state%s interned"
+       Printf.sprintf "; explorer: %d pair%s, %d revisited; %d state%s interned"
          s.antichain_pairs
          (if s.antichain_pairs = 1 then "" else "s")
          s.antichain_prunes s.interned_states

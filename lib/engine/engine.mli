@@ -76,10 +76,10 @@ type stats = {
           are shared by all workers, so this does not scale with the
           domain count *)
   antichain_pairs : int;
-      (** product pairs admitted by on-the-fly antichain inclusion
-          checks during this batch *)
+      (** product pairs admitted by on-the-fly inclusion checks
+          during this batch *)
   antichain_prunes : int;
-      (** candidate pairs the antichain subsumed (never explored) *)
+      (** candidate pairs dropped on arrival as already visited *)
   interned_states : int;
       (** distinct monitor states interned into contexts this batch *)
   key_fragments : int;

@@ -99,7 +99,8 @@ type server = {
   conns : (Unix.file_descr, unit) Hashtbl.t;
   load_lock : Mutex.t;
   (* keyed by (extra_objects, path) resp. (extra_objects, source text) *)
-  file_memo : (int * string, (corpus, string) result) Hashtbl.t;
+  file_memo :
+    (int * string, (corpus, Manifest.input_error) result) Hashtbl.t;
   text_memo : (int * string, (corpus, string) result) Hashtbl.t;
 }
 
@@ -131,25 +132,34 @@ let memoized lock memo key compute =
   Mutex.unlock lock;
   r
 
-let corpus ~extra specs =
-  {
-    specs;
-    universe = Spec.adequate_universe ~extra_objects:extra specs;
-    resolved = Hashtbl.create 8;
-  }
+let corpus (specs, universe) = { specs; universe; resolved = Hashtbl.create 8 }
 
+let read_source path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error m ->
+      Error
+        { Manifest.input_file = path; input_offset = None; input_message = m }
+
+(* Every spec file a submission names — directly ([file]) or through a
+   manifest's [use] lines — loads once per server, so repeated
+   submissions hand the session the same spec values. *)
 let load_file server ~extra path =
   memoized server.load_lock server.file_memo (extra, path) (fun () ->
-      match Lang.specs_of_file path with
-      | exception Sys_error e -> Error e
-      | Error e -> Error (Format.asprintf "%s: %a" path Lang.pp_error e)
-      | Ok specs -> Ok (corpus ~extra specs))
+      Result.bind (read_source path) (fun text ->
+          Manifest.specs_of_source ~extra_objects:extra ~file:path text
+          |> Result.map corpus))
+
+(* [load_file] as a manifest loader. *)
+let file_loader server ~extra path =
+  Result.map (fun c -> (c.specs, c.universe)) (load_file server ~extra path)
 
 let load_text server ~extra text =
   memoized server.load_lock server.text_memo (extra, text) (fun () ->
       match Lang.specs_of_string text with
       | Error e -> Error (Format.asprintf "inline spec: %a" Lang.pp_error e)
-      | Ok specs -> Ok (corpus ~extra specs))
+      | Ok specs ->
+          Ok (corpus (specs, Spec.adequate_universe ~extra_objects:extra specs)))
 
 (* Composition tokens ("A||B") resolve here too, so wire queries are
    planner-eligible like manifest entries.  Failures are not kept. *)
@@ -193,20 +203,25 @@ let requests_of_submit server (s : Wire.submit) =
   let ( let* ) = Result.bind in
   match s.Wire.file, s.Wire.spec_text, s.Wire.manifest, s.Wire.manifest_text with
   | Some path, _, _, _ ->
-      let* c = load_file server ~extra path in
+      let* c =
+        Result.map_error Manifest.input_error_message
+          (load_file server ~extra path)
+      in
       named_requests server ~origin:path ~depth c s.Wire.queries
   | _, Some text, _, _ ->
       let* c = load_text server ~extra text in
       named_requests server ~origin:"inline" ~depth c s.Wire.queries
   | _, _, Some path, _ ->
       Result.map_error Manifest.input_error_detail
-        (Manifest.requests_of_file_typed ~default_depth:depth
-           ~extra_objects:extra path)
+        (Result.bind (read_source path)
+           (Manifest.requests_of_string_typed ~path
+              ~dir:(Filename.dirname path) ~default_depth:depth
+              ~load:(file_loader server ~extra)))
   | _, _, _, Some text ->
       Manifest.requests_of_string ~default_depth:depth
         ~load:(fun path ->
-          load_file server ~extra path
-          |> Result.map (fun c -> (c.specs, c.universe)))
+          Result.map_error Manifest.input_error_message
+            (file_loader server ~extra path))
         text
   | None, None, None, None -> Error "submit carried no spec source"
 

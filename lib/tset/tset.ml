@@ -102,25 +102,20 @@ type compiled_prs = {
   atoms : Eventset.t;  (* symbolic union of the atom event sets *)
 }
 
-(* Interning tables: small integer ids for monitor states, for the
-   composites of product macro-states, and a hash-consing table for
-   events.  Ids make frontier keys of the on-the-fly inclusion check
-   word-sized (a visited pair is one boxed-free int instead of two deep
-   structural trees), and composite ids turn a product macro-state into
-   a bitset the antichain can compare with word operations.  One table
-   set per context: ids are only meaningful relative to the universe
-   sample, exactly like compiled automata.  The mutex makes the tables
-   safe to share across the engine's worker domains; critical sections
-   are a single hash lookup/insert. *)
+(* Interning tables: small integer ids for monitor states and a
+   hash-consing table for events.  Ids make frontier keys of the
+   on-the-fly inclusion check word-sized (a visited pair is one
+   boxed-free int instead of two deep structural trees); a product
+   macro-state is a sorted composite list, so equal macro-states get
+   equal ids.  One table set per context: ids are only meaningful
+   relative to the universe sample, exactly like compiled automata.
+   The mutex makes the tables safe to share across the engine's worker
+   domains; critical sections are a single hash lookup/insert. *)
 type intern = {
   i_lock : Mutex.t;
   i_ids : (state, int) Hashtbl.t;
   mutable i_rev : state array;  (* id -> state; doubling array *)
   mutable i_count : int;
-  i_comp_ids : (state list, int) Hashtbl.t;  (* product composite -> id *)
-  mutable i_comp_count : int;
-  i_macros : (int, int array) Hashtbl.t;
-      (* state id of an [S_product] -> sorted composite ids *)
   i_events : (Event.t, Event.t * int) Hashtbl.t;
       (* hash-consed events, with a dense id for row-cache keys *)
   mutable i_event_count : int;
@@ -162,9 +157,6 @@ let intern_create () =
     i_ids = Hashtbl.create 1024;
     i_rev = Array.make 1024 S_all;
     i_count = 0;
-    i_comp_ids = Hashtbl.create 256;
-    i_comp_count = 0;
-    i_macros = Hashtbl.create 256;
     i_events = Hashtbl.create 256;
     i_event_count = 0;
     i_tsets = [];
@@ -192,18 +184,6 @@ let with_intern c f =
   let it = c.intern in
   Mutex.protect it.i_lock (fun () -> f it)
 
-(* Composite ids are assigned under the same lock as state ids; the
-   macro view of an [S_product] is computed once, at interning time,
-   so lookups on the exploration hot path are a single table read. *)
-let intern_composite it comp =
-  match Hashtbl.find_opt it.i_comp_ids comp with
-  | Some i -> i
-  | None ->
-      let i = it.i_comp_count in
-      Hashtbl.add it.i_comp_ids comp i;
-      it.i_comp_count <- i + 1;
-      i
-
 let intern_state c (st : state) : int =
   with_intern c @@ fun it ->
   match Hashtbl.find_opt it.i_ids st with
@@ -219,21 +199,12 @@ let intern_state c (st : state) : int =
       Hashtbl.add it.i_ids st id;
       it.i_count <- id + 1;
       Metrics.incr interned_states_c;
-      (match st with
-      | S_product comps ->
-          let ids = Array.of_list (List.map (intern_composite it) comps) in
-          Array.sort Int.compare ids;
-          Hashtbl.replace it.i_macros id ids
-      | _ -> ());
       id
 
 let state_of_id c id : state =
   with_intern c @@ fun it ->
   if id < 0 || id >= it.i_count then invalid_arg "Tset.state_of_id";
   it.i_rev.(id)
-
-let macro_of_id c id : int array option =
-  with_intern c @@ fun it -> Hashtbl.find_opt it.i_macros id
 
 let hashcons_event c (e : Event.t) : Event.t =
   with_intern c @@ fun it ->
@@ -288,9 +259,6 @@ let forall_body c (node : t) (body : Oid.t -> t) (o : Oid.t) : t =
           | None ->
               Hashtbl.add it.i_forall_bodies key bt;
               bt)
-
-let intern_counts c =
-  with_intern c @@ fun it -> (it.i_count, it.i_comp_count, it.i_event_count)
 
 let compile_prs_fresh (c : ctx) (r : Regex.t) : compiled_prs =
   Telemetry.with_span "tset.dfa-compile" @@ fun () ->

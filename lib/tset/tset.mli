@@ -88,7 +88,7 @@ val finitary : t -> bool
     depth bound can terminate by exhaustion.  [false] as soon as the
     monitor contains a [pointwise] member — its states carry the whole
     prefix read so far, so completion would enumerate paths, not
-    states.  Used by the antichain inclusion route to decide whether
+    states.  Used by the inclusion explorer to decide whether
     running past the depth cut is affordable. *)
 
 (** {1 Interning}
@@ -96,10 +96,9 @@ val finitary : t -> bool
     Each context owns an interning table mapping monitor states to
     dense small-int ids, so exploration frontiers can compare, hash
     and store states as single words instead of structural values.
-    Product states additionally record a {e macro view}: the sorted
-    id array of their composite states under hidden-event closure,
-    which is what antichain subsumption in [posl.bmc] compares.  All
-    interning operations are thread-safe (contexts are shared across
+    Interning is canonical: a [Product] state is the sorted set of its
+    composites under hidden-event closure, so equal macro-states share
+    one id.  All interning operations are thread-safe (contexts are shared across
     engine worker domains). *)
 
 val intern_state : ctx -> state -> int
@@ -109,11 +108,6 @@ val intern_state : ctx -> state -> int
 val state_of_id : ctx -> int -> state
 (** Inverse of {!intern_state}.  @raise Invalid_argument on an id
     never returned by this context. *)
-
-val macro_of_id : ctx -> int -> int array option
-(** The sorted composite-id array of a [Product] monitor state, or
-    [None] for every other state kind.  Subset inclusion on these
-    arrays is the antichain subsumption order. *)
 
 val hashcons_event : ctx -> Posl_trace.Event.t -> Posl_trace.Event.t
 (** Canonical representative of an event within this context:
@@ -129,9 +123,6 @@ val tset_id : ctx -> t -> int
     spec keeps one id however many refinement pairs it appears in;
     structurally-equal-but-distinct values get distinct ids (costing
     only row sharing, never soundness). *)
-
-val intern_counts : ctx -> int * int * int
-(** [(states, composites, events)] interned so far in this context. *)
 
 val start : ctx -> t -> state option
 (** [None] iff even the empty trace is outside the set (degenerate). *)

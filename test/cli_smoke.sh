@@ -458,47 +458,6 @@ if ! grep -q "signal:" "$tmp/sess2.log"; then
 fi
 echo "ok   session journal survives restart (1 round replayed)"
 
-# The perf-trajectory report: a live dir identical to the baseline
-# passes the gate (exit 0); corrupting a boolean claim fails it
-# (exit 1); an empty baseline dir is an input error (exit 2).
-mkdir -p "$tmp/base" "$tmp/live"
-cat >"$tmp/base/BENCH_P8.json" <<'EOF'
-{"campaign":"P8","title":"smoke","rows":[{"route":"direct","total_ms":50.0,"verdicts_agree":true}]}
-EOF
-cp "$tmp/base/BENCH_P8.json" "$tmp/live/BENCH_P8.json"
-"$BIN" report --baseline "$tmp/base" --live "$tmp/live" --gate \
-  --json "$tmp/report.json" --md "$tmp/report.md" >"$tmp/report.log" 2>&1
-report_exit=$?
-if [ "$report_exit" -ne 0 ]; then
-  echo "FAIL report: identical live dir gated non-zero ($report_exit)" >&2
-  fails=$((fails + 1))
-fi
-if ! grep -q "perf trajectory" "$tmp/report.md"; then
-  echo "FAIL report: markdown file missing or empty" >&2
-  fails=$((fails + 1))
-fi
-if ! "$BIN" json "$tmp/report.json" >/dev/null 2>&1; then
-  echo "FAIL report: --json output is not valid JSON" >&2
-  fails=$((fails + 1))
-fi
-sed 's/"verdicts_agree":true/"verdicts_agree":false/' \
-  "$tmp/base/BENCH_P8.json" >"$tmp/live/BENCH_P8.json"
-"$BIN" report --baseline "$tmp/base" --live "$tmp/live" --gate \
-  >"$tmp/report2.log" 2>&1
-report_exit=$?
-if [ "$report_exit" -ne 1 ]; then
-  echo "FAIL report: broken claim should gate exit 1, got $report_exit" >&2
-  fails=$((fails + 1))
-fi
-mkdir -p "$tmp/nobase"
-"$BIN" report --baseline "$tmp/nobase" --live "$tmp/live" >/dev/null 2>&1
-report_exit=$?
-if [ "$report_exit" -ne 2 ]; then
-  echo "FAIL report: empty baseline should be input error 2, got $report_exit" >&2
-  fails=$((fails + 1))
-fi
-echo "ok   report gate (pass 0 / regression 1 / no campaigns 2)"
-
 # --log streams structured events as JSON lines the tool's own parser
 # accepts, and the batch slow-query exemplars land there.
 "$BIN" batch "$SPECS/batch.manifest" --slow-ms 0 --log "$tmp/batch.jsonl" \

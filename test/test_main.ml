@@ -35,4 +35,5 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("serve", Test_serve.suite);
       ("watch", Test_watch.suite);
+      ("work", Test_work.suite);
     ]

@@ -92,6 +92,25 @@ let test_enumeration_agrees () =
       end)
     auto
 
+(* The composite corpus (fleet manifest plus composites over the
+   paper's cast): every planner verdict equals the direct one modulo
+   provenance, at one domain and at two. *)
+let test_composite_corpus_agrees () =
+  let requests = Util.composite_corpus () in
+  List.iter
+    (fun domains ->
+      let auto, _ = Engine.run_batch ~domains ~plan:Plan.Auto requests in
+      let direct, _ = Engine.run_batch ~domains ~plan:Plan.Off requests in
+      List.iter2
+        (fun (a : Engine.result) (d : Engine.result) ->
+          Util.check_bool
+            (Printf.sprintf "%d domain(s): %s" domains
+               a.Engine.request.Engine.label)
+            true
+            (V.equal_modulo_provenance a.Engine.verdict d.Engine.verdict))
+        auto direct)
+    [ 1; 2 ]
+
 (* --- rule selection ------------------------------------------------- *)
 
 let test_theorem7_rule () =
@@ -405,5 +424,7 @@ let suite =
       test_derived_store_roundtrip;
     Alcotest.test_case "composable_verdict" `Quick test_composable_verdict;
     Alcotest.test_case "proper_verdict" `Quick test_proper_verdict;
+    Alcotest.test_case "composite corpus: derived ≡ direct" `Quick
+      test_composite_corpus_agrees;
   ]
   @ qsuite

@@ -46,193 +46,10 @@ let test_rowf () =
   Util.check_bool "formatted row present" true
     (Util.contains_substring ~needle:"7-x" s)
 
-(* ---------------- perf-trajectory report ---------------- *)
-
-module Trajectory = Posl_report.Trajectory
-module Json = Posl_verdict.Verdict.Json
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "posl-report" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-let write_file path text =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
-
-let campaign_json =
-  {|{"campaign":"P8","title":"example campaign","rows":[
-     {"route":"direct","total_ms":120.0,"jobs":10,"verdicts_agree":true},
-     {"route":"derived","total_ms":3.0,"qps":900.0,"speedup":40.0}]}|}
-
-let trajectory_ok = function
-  | Ok (t : Trajectory.t) -> t
-  | Error e -> Alcotest.failf "Trajectory.run: %s" e
-
-(* A live run identical to the baseline passes every check. *)
-let test_trajectory_self_compare () =
-  with_temp_dir @@ fun base ->
-  with_temp_dir @@ fun live ->
-  write_file (Filename.concat base "BENCH_P8.json") campaign_json;
-  write_file (Filename.concat live "BENCH_P8.json") campaign_json;
-  let t =
-    trajectory_ok
-      (Trajectory.run ~slack:2.0 ~baseline_dir:base ~live_dir:live ())
-  in
-  Util.check_bool "self-compare passes" true t.Trajectory.ok;
-  match t.Trajectory.campaigns with
-  | [ c ] ->
-      Util.check_bool "campaign status ok" true
-        (c.Trajectory.status = Trajectory.Pass);
-      (* gated: total_ms on both rows, qps, speedup, the boolean claim *)
-      Util.check_int "five checks" 5 (List.length c.Trajectory.checks);
-      Util.check_bool "claim check present" true
-        (List.exists
-           (fun (ck : Trajectory.check) ->
-             ck.Trajectory.field = "verdicts_agree"
-             && ck.Trajectory.kind = Trajectory.Claim)
-           c.Trajectory.checks)
-  | l -> Alcotest.failf "expected 1 campaign, got %d" (List.length l)
-
-(* A broken boolean claim regresses the campaign whatever the slack;
-   a 1.5x slower timing passes at slack 2 but a 3x one fails. *)
-let test_trajectory_gates () =
-  with_temp_dir @@ fun base ->
-  with_temp_dir @@ fun live ->
-  write_file (Filename.concat base "BENCH_P8.json") campaign_json;
-  write_file
-    (Filename.concat live "BENCH_P8.json")
-    {|{"campaign":"P8","title":"example campaign","rows":[
-       {"route":"direct","total_ms":180.0,"jobs":10,"verdicts_agree":false},
-       {"route":"derived","total_ms":9.5,"qps":800.0,"speedup":35.0}]}|};
-  let t =
-    trajectory_ok
-      (Trajectory.run ~slack:2.0 ~baseline_dir:base ~live_dir:live ())
-  in
-  Util.check_bool "regression detected" false t.Trajectory.ok;
-  let c = List.hd t.Trajectory.campaigns in
-  Util.check_bool "campaign regressed" true
-    (c.Trajectory.status = Trajectory.Regressed);
-  let check_of field =
-    match
-      List.find_opt
-        (fun (ck : Trajectory.check) -> ck.Trajectory.field = field)
-        c.Trajectory.checks
-    with
-    | Some ck -> ck
-    | None -> Alcotest.failf "no check for %s" field
-  in
-  Util.check_bool "broken claim fails hard" false (check_of "verdicts_agree").Trajectory.ok;
-  Util.check_bool "1.5x slower timing inside slack 2" true
-    (check_of "total_ms").Trajectory.ok;
-  Util.check_bool "3x slower timing fails" false
-    (let slow =
-       List.find
-         (fun (ck : Trajectory.check) ->
-           ck.Trajectory.field = "total_ms" && ck.Trajectory.base = 3.0)
-         c.Trajectory.checks
-     in
-     slow.Trajectory.ok);
-  Util.check_bool "qps within slack" true (check_of "qps").Trajectory.ok;
-  Util.check_bool "speedup within slack" true (check_of "speedup").Trajectory.ok;
-  (* the renderers reflect the verdict *)
-  let md = Trajectory.to_markdown t in
-  Util.check_bool "markdown says REGRESSED" true
-    (Util.contains_substring ~needle:"REGRESSED" md);
-  Util.check_bool "markdown names the failing claim" true
-    (Util.contains_substring ~needle:"verdicts_agree" md);
-  match Trajectory.to_json t with
-  | Json.Obj fields ->
-      Util.check_bool "json ok=false" true
-        (List.assoc_opt "ok" fields = Some (Json.Bool false))
-  | _ -> Alcotest.fail "to_json is not an object"
-
-(* A missing live campaign is its own status and fails the gate; an
-   unmatched baseline row regresses its campaign. *)
-let test_trajectory_missing_live () =
-  with_temp_dir @@ fun base ->
-  with_temp_dir @@ fun live ->
-  write_file (Filename.concat base "BENCH_P8.json") campaign_json;
-  write_file (Filename.concat base "BENCH_P9.json")
-    {|{"campaign":"P9","title":"two rows","rows":[
-       {"route":"a","total_ms":10.0},{"route":"b","total_ms":10.0}]}|};
-  write_file (Filename.concat live "BENCH_P9.json")
-    {|{"campaign":"P9","title":"two rows","rows":[
-       {"route":"a","total_ms":10.0}]}|};
-  let t =
-    trajectory_ok (Trajectory.run ~baseline_dir:base ~live_dir:live ())
-  in
-  Util.check_bool "gate fails" false t.Trajectory.ok;
-  (match t.Trajectory.campaigns with
-  | [ p8; p9 ] ->
-      Util.check_bool "P8 live absent" true
-        (p8.Trajectory.status = Trajectory.Missing_live);
-      Util.check_bool "P9 regressed on the vanished row" true
-        (p9.Trajectory.status = Trajectory.Regressed);
-      Util.check_bool "vanished row named" true
-        (p9.Trajectory.unmatched_baseline = [ "route=b" ])
-  | l -> Alcotest.failf "expected 2 campaigns, got %d" (List.length l));
-  (* campaigns discovered from the baseline dir, in number order *)
-  Util.check_bool "discovery order P8 before P9" true
-    (List.map (fun (c : Trajectory.campaign) -> c.Trajectory.name)
-       t.Trajectory.campaigns
-    = [ "P8"; "P9" ]);
-  (* no campaigns at all is the only hard error *)
-  with_temp_dir @@ fun empty ->
-  match Trajectory.run ~baseline_dir:empty ~live_dir:live () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty baseline dir should be an error"
-
-(* Sub-millisecond baseline timings are not gated (noise), and the
-   runtime metrics snapshot lands in the report. *)
-let test_trajectory_noise_floor_and_metrics () =
-  with_temp_dir @@ fun base ->
-  with_temp_dir @@ fun live ->
-  write_file (Filename.concat base "BENCH_P5.json")
-    {|{"campaign":"P5","title":"fast","rows":[{"pass":"x","total_ms":0.2}]}|};
-  write_file (Filename.concat live "BENCH_P5.json")
-    {|{"campaign":"P5","title":"fast","rows":[{"pass":"x","total_ms":0.9}]}|};
-  let metrics = Filename.concat live "metrics.prom" in
-  write_file metrics
-    "# HELP posl_gc_heap_words h\n# TYPE posl_gc_heap_words gauge\n\
-     posl_gc_heap_words 123456\n\
-     lat_ms_bucket{le=\"1\"} 3\n";
-  let t =
-    trajectory_ok
-      (Trajectory.run ~metrics_file:metrics ~baseline_dir:base ~live_dir:live
-         ())
-  in
-  Util.check_bool "4.5x on a 0.2ms baseline is not a regression" true
-    t.Trajectory.ok;
-  Util.check_bool "unlabelled runtime sample captured" true
-    (List.assoc_opt "posl_gc_heap_words" t.Trajectory.runtime = Some 123456.);
-  Util.check_bool "labelled bucket line skipped" true
-    (not
-       (List.exists
-          (fun (k, _) -> k = "lat_ms_bucket"
-          ) t.Trajectory.runtime));
-  Util.check_bool "runtime section rendered" true
-    (Util.contains_substring ~needle:"posl_gc_heap_words"
-       (Trajectory.to_markdown t))
-
 let suite =
   [
     Alcotest.test_case "basic table" `Quick test_basic_table;
     Alcotest.test_case "unicode alignment" `Quick test_unicode_alignment;
     Alcotest.test_case "utf8 length" `Quick test_utf8_length;
     Alcotest.test_case "formatted rows" `Quick test_rowf;
-    Alcotest.test_case "trajectory: self-compare passes" `Quick
-      test_trajectory_self_compare;
-    Alcotest.test_case "trajectory: claims and slack gates" `Quick
-      test_trajectory_gates;
-    Alcotest.test_case "trajectory: missing live and vanished rows" `Quick
-      test_trajectory_missing_live;
-    Alcotest.test_case "trajectory: noise floor and runtime snapshot" `Quick
-      test_trajectory_noise_floor_and_metrics;
   ]

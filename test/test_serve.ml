@@ -418,6 +418,40 @@ let test_composite_repeat_adds_no_fragments () =
       done;
       Util.check_int "49 repeats serialize nothing" after_first (fragments ()))
 
+(* A [manifest] path submission loads its spec files through the
+   server's memoized loader: the second identical submission hands the
+   session the same spec values, so it serializes no key fragment. *)
+let test_manifest_repeat_adds_no_fragments () =
+  with_server ~workers:1 (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let fragments () =
+        let engine =
+          get_field "engine" (call_ok c (Wire.request_json Wire.Stats))
+        in
+        match get_field "key_fragments" engine with
+        | Json.Int n -> n
+        | _ -> Alcotest.fail "key_fragments is not an int"
+      in
+      let query =
+        Wire.request_json
+          (Wire.Submit
+             (Wire.submission
+                (`Manifest (Util.example_file "batch.manifest"))))
+      in
+      let answer () =
+        let doc = call_ok c query in
+        Alcotest.(check bool) "submit ok" true
+          (field "ok" doc = Some (Json.Bool true));
+        Util.check_int "every query answered" 26 (List.length (results_of doc))
+      in
+      answer ();
+      let after_first = fragments () in
+      Util.check_int "the first submission serializes each spec once" 12
+        after_first;
+      answer ();
+      Util.check_int "the repeat serializes nothing" after_first (fragments ()))
+
 let test_concurrent_clients_agree () =
   with_server ~workers:3 (fun addr ->
       let queries =
@@ -730,6 +764,8 @@ let suite =
       test_submit_composite_tokens;
     Alcotest.test_case "live: repeated composite tokens add no key fragments"
       `Quick test_composite_repeat_adds_no_fragments;
+    Alcotest.test_case "live: repeated manifest path adds no key fragments"
+      `Quick test_manifest_repeat_adds_no_fragments;
     Alcotest.test_case "live: concurrent clients agree with direct runs" `Quick
       test_concurrent_clients_agree;
     Alcotest.test_case "live: repeated digest hits the warm cache" `Quick

@@ -243,6 +243,30 @@ let test_second_run_recomputes_nothing () =
       Util.check_bool "marked from_store" true r.Engine.from_store)
     warm
 
+(* The same batch twice on one session over a store: the warm
+   in-process pass is answered by the in-memory cache alone — the
+   store is neither read nor written. *)
+let test_warm_in_process_pass () =
+  let dir = fresh_dir () in
+  let batch = paper_batch () in
+  let n = List.length batch in
+  let s = Store.open_ dir in
+  let session = Engine.session ~store:s () in
+  let cold, cold_stats = Engine.run_jobs ~domains:1 session batch in
+  let warm, warm_stats = Engine.run_jobs ~domains:1 session batch in
+  Store.close s;
+  Util.check_int "cold pass computes everything" n
+    cold_stats.Engine.cache_misses;
+  Util.check_int "cold pass writes everything" n cold_stats.Engine.store_writes;
+  Util.check_int "warm pass: all cache hits" n warm_stats.Engine.cache_hits;
+  Util.check_int "warm pass computes nothing" 0 warm_stats.Engine.cache_misses;
+  Util.check_int "warm pass: no store hits" 0 warm_stats.Engine.store_hits;
+  Util.check_int "warm pass: no store misses" 0
+    warm_stats.Engine.store_misses;
+  Util.check_int "warm pass writes nothing" 0 warm_stats.Engine.store_writes;
+  Util.check_bool "warm verdicts ≡ cold verdicts" true
+    (verdicts_equal cold warm)
+
 (* Bounded verdicts are only reused at ≥ the requested depth: the same
    query at a greater depth must recompute. *)
 let test_deeper_request_recomputes () =
@@ -356,6 +380,8 @@ let suite =
       test_foreign_file_refused;
     Alcotest.test_case "second batch run recomputes nothing" `Quick
       test_second_run_recomputes_nothing;
+    Alcotest.test_case "warm in-process pass answers from memory" `Quick
+      test_warm_in_process_pass;
     Alcotest.test_case "deeper requests bypass shallow records" `Quick
       test_deeper_request_recomputes;
     Alcotest.test_case "an edited counting constraint misses the store"

@@ -603,6 +603,43 @@ let test_gc_attrs_on_span () =
       Alcotest.(check bool) "allocation attributed to the span" true
         (float_of_string w >= 5_000.)
 
+(* Full tracing (spans on, runtime sampler running) costs at most 2x
+   on a cold 56-job engine batch: an in-run ratio, best of five runs
+   each way in this process. *)
+let test_tracing_overhead () =
+  let batch =
+    List.concat_map
+      (fun g' ->
+        List.filter_map
+          (fun g ->
+            if g' == g then None
+            else
+              Some
+                (Engine.request ~depth:4 ~universe:Util.paper_universe
+                   (Job.refine ~refined:g' ~abstract:g)))
+          Ex.all_specs)
+      Ex.all_specs
+  in
+  let best_ms () =
+    List.fold_left min infinity
+      (List.init 5 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           ignore (Engine.run_batch ~domains:1 batch);
+           (Unix.gettimeofday () -. t0) *. 1000.))
+  in
+  let off_ms = best_ms () in
+  let on_ms, spans =
+    traced @@ fun () ->
+    Runtime.start ();
+    Fun.protect ~finally:Runtime.stop @@ fun () ->
+    let ms = best_ms () in
+    (ms, List.length (Telemetry.spans ()))
+  in
+  Alcotest.(check bool) "spans recorded" true (spans > 0);
+  if on_ms > 2. *. off_ms then
+    Alcotest.failf "traced batch %.2f ms vs untraced %.2f ms: %.2fx > 2x" on_ms
+      off_ms (on_ms /. off_ms)
+
 (* ---------------- prometheus conformance ---------------- *)
 
 (* HELP text and histogram label values escape per the text-format
@@ -731,6 +768,8 @@ let suite =
     Alcotest.test_case "log ring overflow" `Quick test_log_ring_overflow;
     Alcotest.test_case "runtime gc sampler" `Quick test_runtime_sampler;
     Alcotest.test_case "gc attrs on span" `Quick test_gc_attrs_on_span;
+    Alcotest.test_case "tracing overhead at most 2x" `Quick
+      test_tracing_overhead;
     Alcotest.test_case "prometheus HELP escaping" `Quick
       test_expose_help_escaping;
     Alcotest.test_case "prometheus cumulative buckets" `Quick

@@ -306,6 +306,92 @@ let test_watch_flip () =
   | fs -> Alcotest.failf "expected one flip, got %d" (List.length fs));
   check_int "none failing" 0 r3.Watch.failing
 
+(* The fleet at scale: the ten stock queries plus every cross-family
+   compose/deadlock combination over {Gauge, Gauge2}, {Log, Log2} and
+   {Clock}, in every family order — 58 queries, with GaugeR still
+   named by exactly one of them. *)
+let scale_out =
+  let families = [ [ "Gauge"; "Gauge2" ]; [ "Log"; "Log2" ]; [ "Clock" ] ] in
+  let rec orders = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun f ->
+            List.map
+              (fun rest -> f :: rest)
+              (orders (List.filter (( != ) f) l)))
+          l
+  in
+  List.concat_map
+    (function
+      | [ f1; f2; f3 ] ->
+          List.concat_map
+            (fun x ->
+              List.concat_map
+                (fun y ->
+                  List.concat_map
+                    (fun z ->
+                      [
+                        Printf.sprintf "compose %s||%s %s\n" x y z;
+                        Printf.sprintf "deadlock %s||%s %s\n" x y z;
+                      ])
+                    f3)
+                f2)
+            f1
+      | _ -> assert false)
+    (orders families)
+  |> String.concat ""
+
+(* A one-spec edit re-verifies one query of 58 and answers the other 57
+   from their standing verdicts, so the incremental round is at least
+   10x faster than a cold batch over the same manifest — an in-run
+   ratio, both sides timed in this process (best of several). *)
+let test_incremental_round_at_scale () =
+  let manifest, spec = fleet_copy () in
+  write_file manifest (read_file manifest ^ scale_out);
+  let original = read_file spec in
+  let edited = replace ~needle:gauger_line ~by:gauger_doubled original in
+  let cold_batch () =
+    let t0 = Unix.gettimeofday () in
+    match
+      Manifest.requests_of_file ~default_depth:6 ~extra_objects:2 manifest
+    with
+    | Error e -> Alcotest.failf "scaled fleet: %s" e
+    | Ok requests ->
+        let _, stats = Engine.run_batch ~domains:1 requests in
+        check_int "cold batch: jobs" 66 stats.Engine.jobs;
+        (Unix.gettimeofday () -. t0) *. 1000.
+  in
+  let cold_ms =
+    List.fold_left min infinity (List.init 3 (fun _ -> cold_batch ()))
+  in
+  let w = Watch.create ~domains:1 manifest in
+  let r0 = poll_round w in
+  check_int "cold round: queries" 58 r0.Watch.total;
+  check_int "cold round: invalidated" 58 r0.Watch.invalidated;
+  check_int "cold round: reused" 0 r0.Watch.reused;
+  (* The first edit computes the composite and its premise
+     T(GaugeR) = T(Gauge); every later round re-asks a composite the
+     session has already answered, one job and no premise. *)
+  let rounds =
+    List.init 6 (fun k ->
+        write_file spec (if k mod 2 = 0 then edited else original);
+        let r = poll_round w in
+        check_int "incremental: invalidated" 1 r.Watch.invalidated;
+        check_int "incremental: reused" 57 r.Watch.reused;
+        check_int "incremental: flips" 1 (List.length r.Watch.flips);
+        match r.Watch.stats with
+        | Some s -> (s.Engine.jobs, r.Watch.elapsed_ms)
+        | None -> Alcotest.fail "incremental round ran no engine batch")
+  in
+  Alcotest.(check (list int))
+    "incremental: jobs per round" [ 2; 1; 1; 1; 1; 1 ] (List.map fst rounds);
+  let inc_ms = List.fold_left min infinity (List.map snd rounds) in
+  if cold_ms < 10. *. inc_ms then
+    Alcotest.failf
+      "incremental round %.3f ms vs cold batch %.3f ms: %.1fx < 10x" inc_ms
+      cold_ms (cold_ms /. inc_ms)
+
 let test_watch_parse_error () =
   let manifest, spec = fleet_copy () in
   let original = read_file spec in
@@ -446,6 +532,8 @@ let suite =
       test_watch_counters;
     Alcotest.test_case "watch: verdict flip and flip back" `Quick
       test_watch_flip;
+    Alcotest.test_case "watch: one edit at scale beats a cold batch 10x"
+      `Quick test_incremental_round_at_scale;
     Alcotest.test_case "watch: half-saved file leaves verdicts standing"
       `Quick test_watch_parse_error;
     Alcotest.test_case "journal: restart replays history and signal" `Quick

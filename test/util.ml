@@ -131,3 +131,45 @@ let example_file name =
   match List.find_opt Sys.file_exists candidates with
   | Some f -> f
   | None -> Alcotest.failf "example file %s not found" name
+
+(* The composite corpus the planner is measured on: the fleet manifest
+   (three systems sharing an upgraded gauge, a nested three-part system,
+   commutativity and trace-equality rewrites, atomic compose/deadlock
+   queries) plus six composite queries over the paper's cast — three
+   Theorem-7 decompositions sharing the premise RW2 ⊑ RW, a
+   zero-premise commutativity instance, and one refuted-premise query
+   the planner must decline.  Depth 6. *)
+let composite_corpus () =
+  let module Ex = Posl_core.Examples_paper in
+  let module Job = Posl_engine.Job in
+  let fleet =
+    match
+      Posl_engine.Manifest.requests_of_file ~default_depth:6 ~extra_objects:2
+        (example_file "fleet.manifest")
+    with
+    | Ok rs -> rs
+    | Error e -> Alcotest.failf "fleet.manifest: %s" e
+  in
+  let ( || ) = Posl_core.Compose.compose_exn in
+  let req q = Posl_engine.Engine.request ~depth:6 ~universe:paper_universe q in
+  fleet
+  @ [
+      req
+        (Job.refine ~refined:(Ex.rw2 || Ex.client)
+           ~abstract:(Ex.rw || Ex.client));
+      req
+        (Job.refine ~refined:(Ex.rw2 || Ex.client2)
+           ~abstract:(Ex.rw || Ex.client2));
+      req
+        (Job.refine ~refined:(Ex.read2 || Ex.client)
+           ~abstract:(Ex.read || Ex.client));
+      req
+        (Job.refine ~refined:(Ex.rw || Ex.client)
+           ~abstract:(Ex.write || Ex.client));
+      req
+        (Job.equal ~left:(Ex.client || Ex.write_acc)
+           ~right:(Ex.write_acc || Ex.client));
+      req
+        (Job.refine ~refined:(Ex.rw || Ex.client)
+           ~abstract:(Ex.read2 || Ex.client));
+    ]
