@@ -11,7 +11,8 @@
     - deadlock analysis (Examples 4 and 5): reachable monitor states
       with no enabled events.
 
-    Exploration is breadth-first over interned monitor-state ids, on
+    Exploration is breadth-first over interned monitor-state ids,
+    stepping through the context's successor rows ({!Tset.rows}), on
     one domain so that witness order is canonical.  When the reachable
     state space is exhausted, the verdict holds for {e all} depths over
     the given concrete alphabet and is reported {!Exact}; otherwise it
@@ -105,7 +106,7 @@ let certify_deadlock ctx ~alphabet t h =
 
     It is decided on the fly by exploring the product of the [lhs]
     monitor against the [rhs] monitor on interned small-int state ids
-    with memoized successor rows.  Frontier pairs are de-duplicated by
+    through the context's successor rows.  Frontier pairs are de-duplicated by
     packed [(lhs, rhs)] id: interning is canonical (a [Product] state
     is its sorted composite set), so equal ids are equal pairs, and
     exhausting the frontier is [Exact].  Refutations are
@@ -134,14 +135,16 @@ let explore ~complete ~budget (ctx : Tset.ctx) ~(alphabet : Event.t array)
          route pays a whole lhs compilation to learn that. *)
       Holds Exact
   | _ -> (
-  match Tset.start ctx lhs with
+  let lrows = Tset.rows ctx lhs alphabet
+  and rrows = Tset.rows ctx rhs alphabet in
+  match Tset.initial lrows with
   | None -> Holds Exact (* T(Γ′) degenerate: even ε is outside it *)
-  | Some lhs0 -> (
-      match Tset.start ctx rhs with
+  | Some l0 -> (
+      match Tset.initial rrows with
       | None ->
           (* ε ∈ T(Γ′) but ε ∉ T(Γ) *)
           Refuted (certify_inclusion ctx ~lhs ~proj ~rhs Trace.empty)
-      | Some rhs0 ->
+      | Some r0 ->
           Telemetry.with_span "bmc.antichain" @@ fun () ->
           (* Running past the depth cut only pays off when revisited
              states de-duplicate; a [Pointwise] member mints a fresh
@@ -150,47 +153,8 @@ let explore ~complete ~budget (ctx : Tset.ctx) ~(alphabet : Event.t array)
              semantics for those monitors (matching what the automata
              route does: pointwise monitors never compile either). *)
           let complete = complete && Tset.finitary lhs && Tset.finitary rhs in
-          let alphabet = Array.map (Tset.hashcons_event ctx) alphabet in
           let n = Array.length alphabet in
           let proj_mask = Array.map (fun e -> Eventset.mem e proj) alphabet in
-          let all_mask = Array.make n true in
-          let eids = Array.map (Tset.event_id ctx) alphabet in
-          (* Memoized successor rows: interned state id -> per-symbol
-             successor id, [-1] = dead, [-2] = not yet computed.  Cells
-             are filled lazily — rhs states are only stepped at symbols
-             where the lhs survives, and never outside the projection —
-             and each fill goes through the context's persistent row
-             cache ({!Tset.step_id}), so a monitor appearing in many
-             refinement pairs — every corpus spec does — steps each
-             state once per context, not once per pair; the per-call
-             table only short-circuits the per-cell cache lookups. *)
-          let ltid = Tset.tset_id ctx lhs and rtid = Tset.tset_id ctx rhs in
-          let cell tbl tset tid mask =
-            let lookup id s =
-              let r =
-                match Hashtbl.find_opt tbl id with
-                | Some r -> r
-                | None ->
-                    let r = Array.make n (-2) in
-                    Hashtbl.add tbl id r;
-                    r
-              in
-              let v = r.(s) in
-              if v <> -2 then v
-              else
-                let v =
-                  if not mask.(s) then -1
-                  else
-                    Tset.step_id ctx tset ~tset_id:tid ~event_id:eids.(s) id
-                      alphabet.(s)
-                in
-                r.(s) <- v;
-                v
-            in
-            lookup
-          in
-          let lcell = cell (Hashtbl.create 256) lhs ltid all_mask in
-          let rcell = cell (Hashtbl.create 256) rhs rtid proj_mask in
           let visited_pairs = Hashtbl.create 1024 in
           let admitted = ref 0 and duplicates = ref 0 in
           let admit l r =
@@ -206,17 +170,20 @@ let explore ~complete ~budget (ctx : Tset.ctx) ~(alphabet : Event.t array)
               true
             end
           in
-          let l0 = Tset.intern_state ctx lhs0 in
-          let r0 = Tset.intern_state ctx rhs0 in
           ignore (admit l0 r0);
-          (* Frontier entries carry their prefix reversed, so extending
-             one is a cons; a counterexample is reversed once. *)
+          (* Successor rows are the context's ({!Tset.row}), read
+             cell by cell: an rhs state is only stepped at symbols
+             where the lhs survives, and never outside the
+             projection.  Frontier entries carry their prefix
+             reversed, so extending one is a cons; a counterexample
+             is reversed once. *)
           let expand (l, r, rev_h) next =
+            let lrow = Tset.row lrows l and rrow = Tset.row rrows r in
             for s = 0 to n - 1 do
-              let l' = lcell l s in
+              let l' = Tset.succ lrows lrow s in
               if l' >= 0 then
                 if proj_mask.(s) then begin
-                  let r' = rcell r s in
+                  let r' = Tset.succ rrows rrow s in
                   if r' < 0 then
                     raise (Cex (List.rev (alphabet.(s) :: rev_h)));
                   if admit l' r' then
@@ -269,71 +236,64 @@ let check_equal ctx ~alphabet ~depth ~(left : Tset.t) ~(right : Tset.t) :
       | Refuted h -> Refuted (h, `Right_only)
       | Holds c2 -> Holds (Verdict.meet c1 c2))
 
+(** {1 Reachability}
+
+    Breadth-first over interned state ids within [depth] levels, each
+    state's successors in alphabet order, visiting each state once;
+    [stuck] is called on every expanded state whose whole row is dead,
+    with the (reversed) prefix that reached it.  Returns the number of
+    states visited. *)
+let reach rows ~(alphabet : Event.t array) ~depth ~stuck id0 =
+  let n = Array.length alphabet in
+  let visited = Hashtbl.create 1024 in
+  Hashtbl.replace visited id0 ();
+  let rec level d frontier =
+    if frontier <> [] && d < depth then begin
+      let next = ref [] in
+      List.iter
+        (fun (id, rev_h) ->
+          let r = Tset.row rows id in
+          let alive = ref false in
+          for s = 0 to n - 1 do
+            let id' = Tset.succ rows r s in
+            if id' >= 0 then begin
+              alive := true;
+              if not (Hashtbl.mem visited id') then begin
+                Hashtbl.replace visited id' ();
+                next := (id', alphabet.(s) :: rev_h) :: !next
+              end
+            end
+          done;
+          if not !alive then stuck rev_h)
+        frontier;
+      level (d + 1) (List.rev !next)
+    end
+  in
+  level 0 [ (id0, []) ];
+  Hashtbl.length visited
+
 (** {1 Deadlock analysis}
 
     A reachable monitor state with no enabled event is a deadlock of the
     specification over the given alphabet (Examples 4 and 5 of the
     paper; total deadlock at the start corresponds to a trace set that
-    is just {ε}). *)
+    is just {ε}).  Discovery order follows alphabet order, so the first
+    dead state found carries the lexicographically-least shortest
+    witness. *)
 let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
     Trace.t option =
-  match Tset.start ctx t with
+  let rows = Tset.rows ctx t alphabet in
+  match Tset.initial rows with
   | None ->
       (* not even ε: degenerate, report as stuck *)
       Some (certify_deadlock ctx ~alphabet t Trace.empty)
-  | Some st0 ->
-      (* Interned-id BFS over memoized successor rows: a state whose
-         whole row is dead is a deadlock.  Discovery order follows
-         alphabet order, so the first dead state found carries the
-         lexicographically-least shortest witness.  Prefixes are
-         carried reversed, as in [explore]. *)
-      let alphabet = Array.map (Tset.hashcons_event ctx) alphabet in
-      let n = Array.length alphabet in
-      let rows = Hashtbl.create 256 in
-      let row id =
-        match Hashtbl.find_opt rows id with
-        | Some r -> r
-        | None ->
-            let st = Tset.state_of_id ctx id in
-            let r =
-              Array.init n (fun s ->
-                  match Tset.step ctx t st alphabet.(s) with
-                  | None -> -1
-                  | Some st' -> Tset.intern_state ctx st')
-            in
-            Hashtbl.add rows id r;
-            r
-      in
-      let visited = Hashtbl.create 1024 in
-      let id0 = Tset.intern_state ctx st0 in
-      Hashtbl.replace visited id0 ();
+  | Some id0 -> (
       let exception Stuck of Trace.t in
-      let rec level d frontier =
-        if frontier = [] || d >= depth then None
-        else begin
-          let next = ref [] in
-          List.iter
-            (fun (id, rev_h) ->
-              let r = row id in
-              let alive = ref false in
-              for s = 0 to n - 1 do
-                let id' = r.(s) in
-                if id' >= 0 then begin
-                  alive := true;
-                  if not (Hashtbl.mem visited id') then begin
-                    Hashtbl.replace visited id' ();
-                    next := (id', alphabet.(s) :: rev_h) :: !next
-                  end
-                end
-              done;
-              if not !alive then raise (Stuck (List.rev rev_h)))
-            frontier;
-          level (d + 1) (List.rev !next)
-        end
-      in
-      (try
-         level 0 [ (id0, []) ]
-       with Stuck witness -> Some (certify_deadlock ctx ~alphabet t witness))
+      let stuck rev_h = raise (Stuck (List.rev rev_h)) in
+      try
+        ignore (reach rows ~alphabet ~depth ~stuck id0);
+        None
+      with Stuck witness -> Some (certify_deadlock ctx ~alphabet t witness))
 
 (** The events enabled after [h] — the possible extensions within the
     trace set.  Used by example walkthroughs. *)
@@ -358,37 +318,31 @@ let enabled ctx ~(alphabet : Event.t array) (t : Tset.t) (h : Trace.t) :
 (** {1 Counting and enumeration} *)
 
 (** Number of member traces of each length [0..depth], computed by
-    dynamic programming over monitor states (no trace explosion). *)
+    dynamic programming over interned monitor states (no trace
+    explosion). *)
 let count_traces ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
     int array =
   let counts = Array.make (depth + 1) 0 in
-  (match Tset.start ctx t with
+  let rows = Tset.rows ctx t alphabet in
+  (match Tset.initial rows with
   | None -> ()
-  | Some st0 ->
-      let module SM = Map.Make (struct
-        type t = Tset.state
-
-        let compare = Tset.compare_state
-      end) in
-      let level = ref (SM.singleton st0 1) in
+  | Some id0 ->
+      let level = ref [ (id0, 1) ] in
       counts.(0) <- 1;
       for d = 1 to depth do
-        let next = ref SM.empty in
-        SM.iter
-          (fun st n ->
-            Array.iter
-              (fun e ->
-                match Tset.step ctx t st e with
-                | Some st' ->
-                    next :=
-                      SM.update st'
-                        (function None -> Some n | Some m -> Some (m + n))
-                        !next
-                | None -> ())
-              alphabet)
+        let next = Hashtbl.create 64 in
+        List.iter
+          (fun (id, k) ->
+            let r = Tset.row rows id in
+            for s = 0 to Array.length alphabet - 1 do
+              let id' = Tset.succ rows r s in
+              if id' >= 0 then
+                Hashtbl.replace next id'
+                  (k + Option.value ~default:0 (Hashtbl.find_opt next id'))
+            done)
           !level;
-        level := !next;
-        counts.(d) <- SM.fold (fun _ n acc -> acc + n) !level 0
+        level := List.of_seq (Hashtbl.to_seq next);
+        counts.(d) <- List.fold_left (fun acc (_, k) -> acc + k) 0 !level
       done);
   counts
 
@@ -416,33 +370,7 @@ let enumerate ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
 (** Reachable monitor states up to [depth]; the state-count metric of
     the performance experiments. *)
 let count_states ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) : int =
-  match Tset.start ctx t with
+  let rows = Tset.rows ctx t alphabet in
+  match Tset.initial rows with
   | None -> 0
-  | Some st0 ->
-      let module SM = Set.Make (struct
-        type t = Tset.state
-
-        let compare = Tset.compare_state
-      end) in
-      let visited = ref (SM.singleton st0) in
-      let rec level d frontier =
-        if frontier <> [] && d < depth then begin
-          let next = ref [] in
-          List.iter
-            (fun st ->
-              Array.iter
-                (fun e ->
-                  match Tset.step ctx t st e with
-                  | Some st' ->
-                      if not (SM.mem st' !visited) then begin
-                        visited := SM.add st' !visited;
-                        next := st' :: !next
-                      end
-                  | None -> ())
-                alphabet)
-            frontier;
-          level (d + 1) !next
-        end
-      in
-      level 0 [ st0 ];
-      SM.cardinal !visited
+  | Some id0 -> reach rows ~alphabet ~depth ~stuck:ignore id0

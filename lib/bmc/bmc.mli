@@ -7,7 +7,11 @@
     breadth-first over interned monitor-state ids, on one domain so
     that witness order is canonical; when the reachable space is
     exhausted, the verdict holds for {e all} depths over the given
-    alphabet and is reported {!Exact}.
+    alphabet and is reported {!Exact}.  Every traversal here steps
+    through the context's successor rows ({!Tset.rows}), so the
+    inclusion explorer, deadlock search and the counting functions
+    share one memo per (monitor, state, event) and context; only
+    {!enabled} and {!enumerate} replay {!Tset.step} directly.
 
     Every counterexample ({!check_inclusion}, {!check_equal},
     {!find_deadlock}) is {e self-certifying}: it is replayed through the
@@ -48,8 +52,10 @@ val check_inclusion :
   Trace.t verdict
 (** Does every trace of [lhs] over [alphabet] satisfy [h/proj ∈ rhs]?
     Clause 3 of Def. 2 is [lhs = T(Γ′), proj = α(Γ), rhs = T(Γ)].
-    Decided on the fly over interned state ids with memoized successor
-    rows, visiting each (lhs, rhs) state pair at most once.
+    Decided on the fly over interned state ids with the context's
+    successor rows, visiting each (lhs, rhs) state pair at most once;
+    an [rhs] state is only stepped at events where [lhs] survives and
+    that lie in [proj].
     Refutations carry a genuine [lhs] trace: the
     lexicographically-least shortest violating one, the same canonical
     witness the compiled-automata route produces.
@@ -96,7 +102,7 @@ val enabled :
 val count_traces :
   Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> int array
 (** Member-trace counts per length [0..depth], by dynamic programming
-    over monitor states (no trace explosion). *)
+    over interned monitor states (no trace explosion). *)
 
 val enumerate :
   Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> Trace.t list

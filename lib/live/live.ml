@@ -81,15 +81,11 @@ let evidence_of_violation = function
       Verdict.Unanswerable { obligation = o.name; trace = h }
 
 (* Forward reachability of a response event from a monitor state,
-   memoized per state: BFS over monitor states looking for any enabled
-   response transition.  [depth] bounds the search. *)
-let response_reachable ctx ~alphabet ~depth tset response =
-  let module SM = Map.Make (struct
-    type t = Tset.state
-
-    let compare = Tset.compare_state
-  end) in
-  let memo = ref SM.empty in
+   memoized per interned state: BFS over the context's successor rows
+   looking for any enabled response transition.  [depth] bounds the
+   search. *)
+let response_reachable rows ~(alphabet : Event.t array) ~depth response =
+  let memo = Hashtbl.create 64 in
   let rec search visited frontier d =
     match frontier with
     | [] -> false
@@ -98,29 +94,31 @@ let response_reachable ctx ~alphabet ~depth tset response =
         let next = ref [] in
         let found = ref false in
         List.iter
-          (fun st ->
-            if not !found then
-              Array.iter
-                (fun e ->
-                  match Tset.step ctx tset st e with
-                  | None -> ()
-                  | Some st' ->
-                      if Eventset.mem e response then found := true
-                      else if not (SM.mem st' !visited) then begin
-                        visited := SM.add st' () !visited;
-                        next := st' :: !next
-                      end)
-                alphabet)
+          (fun id ->
+            if not !found then begin
+              let r = Tset.row rows id in
+              Array.iteri
+                (fun s e ->
+                  let id' = Tset.succ rows r s in
+                  if id' >= 0 then
+                    if Eventset.mem e response then found := true
+                    else if not (Hashtbl.mem visited id') then begin
+                      Hashtbl.replace visited id' ();
+                      next := id' :: !next
+                    end)
+                alphabet
+            end)
           frontier;
         !found || search visited !next (d + 1)
   in
-  fun st ->
-    match SM.find_opt st !memo with
+  fun id ->
+    match Hashtbl.find_opt memo id with
     | Some r -> r
     | None ->
-        let visited = ref (SM.singleton st ()) in
-        let r = search visited [ st ] 0 in
-        memo := SM.add st r !memo;
+        let visited = Hashtbl.create 64 in
+        Hashtbl.replace visited id ();
+        let r = search visited [ id ] 0 in
+        Hashtbl.replace memo id r;
         r
 
 (* Exploration of (monitor state, open-trigger count) pairs; the open
@@ -129,18 +127,13 @@ let response_reachable ctx ~alphabet ~depth tset response =
    counts, so the pair is the exploration key. *)
 let check_obligation ctx ~alphabet ~depth tset ob : (Bmc.confidence, Trace.t) result
     =
-  match Tset.start ctx tset with
+  let rows = Tset.rows ctx tset alphabet in
+  match Tset.initial rows with
   | None -> Ok Bmc.Exact
-  | Some st0 ->
-      let reachable = response_reachable ctx ~alphabet ~depth tset ob.response in
-      let module KM = Map.Make (struct
-        type t = Tset.state * int
-
-        let compare (s1, n1) (s2, n2) =
-          let c = Tset.compare_state s1 s2 in
-          if c <> 0 then c else Int.compare n1 n2
-      end) in
-      let visited = ref (KM.singleton (st0, 0) ()) in
+  | Some id0 ->
+      let reachable = response_reachable rows ~alphabet ~depth ob.response in
+      let visited = Hashtbl.create 256 in
+      Hashtbl.replace visited (id0, 0) ();
       let exception Violation of Trace.t in
       let rec level d frontier =
         if frontier = [] then Ok Bmc.Exact
@@ -148,31 +141,32 @@ let check_obligation ctx ~alphabet ~depth tset ob : (Bmc.confidence, Trace.t) re
         else begin
           let next = ref [] in
           List.iter
-            (fun ((st, opened), h) ->
-              Array.iter
-                (fun e ->
-                  match Tset.step ctx tset st e with
-                  | None -> ()
-                  | Some st' ->
-                      let opened' =
-                        opened
-                        + (if Eventset.mem e ob.trigger then 1 else 0)
-                        - (if Eventset.mem e ob.response then 1 else 0)
-                      in
-                      let opened' = max 0 opened' in
-                      let h' = Trace.snoc h e in
-                      if opened' > 0 && not (reachable st') then
-                        raise (Violation h');
-                      if not (KM.mem (st', opened') !visited) then begin
-                        visited := KM.add (st', opened') () !visited;
-                        next := ((st', opened'), h') :: !next
-                      end)
+            (fun ((id, opened), h) ->
+              let r = Tset.row rows id in
+              Array.iteri
+                (fun s e ->
+                  let id' = Tset.succ rows r s in
+                  if id' >= 0 then begin
+                    let opened' =
+                      opened
+                      + (if Eventset.mem e ob.trigger then 1 else 0)
+                      - (if Eventset.mem e ob.response then 1 else 0)
+                    in
+                    let opened' = max 0 opened' in
+                    let h' = Trace.snoc h e in
+                    if opened' > 0 && not (reachable id') then
+                      raise (Violation h');
+                    if not (Hashtbl.mem visited (id', opened')) then begin
+                      Hashtbl.replace visited (id', opened') ();
+                      next := ((id', opened'), h') :: !next
+                    end
+                  end)
                 alphabet)
             frontier;
           level (d + 1) !next
         end
       in
-      (try level 0 [ ((st0, 0), Trace.empty) ]
+      (try level 0 [ ((id0, 0), Trace.empty) ]
        with Violation h ->
          (* Self-certification: the witness must be a genuine trace of
             the specification under the reference semantics. *)

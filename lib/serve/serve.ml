@@ -98,9 +98,10 @@ type server = {
   conns_lock : Mutex.t;
   conns : (Unix.file_descr, unit) Hashtbl.t;
   load_lock : Mutex.t;
-  (* keyed by (extra_objects, path) resp. (extra_objects, source text) *)
+  (* keyed by (extra_objects, path) resp. (extra_objects, source text);
+     a file entry keeps the text it was loaded from *)
   file_memo :
-    (int * string, (corpus, Manifest.input_error) result) Hashtbl.t;
+    (int * string, string * (corpus, Manifest.input_error) result) Hashtbl.t;
   text_memo : (int * string, (corpus, string) result) Hashtbl.t;
 }
 
@@ -142,13 +143,22 @@ let read_source path =
         { Manifest.input_file = path; input_offset = None; input_message = m }
 
 (* Every spec file a submission names — directly ([file]) or through a
-   manifest's [use] lines — loads once per server, so repeated
-   submissions hand the session the same spec values. *)
+   manifest's [use] lines — is re-read on every submission, so an edited
+   file reloads.  An unchanged text keeps its loaded corpus, so repeated
+   submissions hand the session the same spec values; a different text
+   replaces it.  Read errors are not kept. *)
 let load_file server ~extra path =
-  memoized server.load_lock server.file_memo (extra, path) (fun () ->
-      Result.bind (read_source path) (fun text ->
-          Manifest.specs_of_source ~extra_objects:extra ~file:path text
-          |> Result.map corpus))
+  Result.bind (read_source path) @@ fun text ->
+  Mutex.protect server.load_lock @@ fun () ->
+  match Hashtbl.find_opt server.file_memo (extra, path) with
+  | Some (loaded, c) when String.equal loaded text -> c
+  | _ ->
+      let c =
+        Manifest.specs_of_source ~extra_objects:extra ~file:path text
+        |> Result.map corpus
+      in
+      Hashtbl.replace server.file_memo (extra, path) (text, c);
+      c
 
 (* [load_file] as a manifest loader. *)
 let file_loader server ~extra path =

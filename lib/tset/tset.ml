@@ -42,6 +42,11 @@ let interned_states_c =
   Metrics.counter ~help:"Monitor states interned across all contexts"
     "posl_tset_interned_states_total"
 
+let steps_c =
+  Metrics.counter
+    ~help:"Successor-row cells computed (one monitor step each)"
+    "posl_tset_steps_total"
+
 let dfa_cache_hits_c =
   Metrics.counter
     ~help:"Compiled prs-automata served from a context's memo (no compile)"
@@ -102,51 +107,62 @@ type compiled_prs = {
   atoms : Eventset.t;  (* symbolic union of the atom event sets *)
 }
 
-(* Interning tables: small integer ids for monitor states and a
-   hash-consing table for events.  Ids make frontier keys of the
-   on-the-fly inclusion check word-sized (a visited pair is one
-   boxed-free int instead of two deep structural trees); a product
+(* Interning tables: small integer ids for monitor states and events.
+   Ids make frontier keys of the on-the-fly inclusion check word-sized
+   (a visited pair is one boxed-free int instead of two deep
+   structural trees), and event ids index successor rows; a product
    macro-state is a sorted composite list, so equal macro-states get
    equal ids.  One table set per context: ids are only meaningful
    relative to the universe sample, exactly like compiled automata.
    The mutex makes the tables safe to share across the engine's worker
-   domains; critical sections are a single hash lookup/insert. *)
+   domains; critical sections are a single hash lookup/insert, or one
+   prs compilation. *)
 type intern = {
   i_lock : Mutex.t;
   i_ids : (state, int) Hashtbl.t;
   mutable i_rev : state array;  (* id -> state; doubling array *)
   mutable i_count : int;
-  i_events : (Event.t, Event.t * int) Hashtbl.t;
-      (* hash-consed events, with a dense id for row-cache keys *)
+  i_events : (Event.t, int) Hashtbl.t;
+      (* event -> dense id: the column of every successor row *)
   mutable i_event_count : int;
-  mutable i_tsets : (t * int) list;
-      (* physical-identity trace-set ids; a short assoc list scanned
-         with (==) — contexts see a handful of distinct monitors *)
-  mutable i_tset_count : int;
-  i_rows : (int * int * int, int) Hashtbl.t;
-      (* (tset id, state id, event id) -> successor state id, -1 dead.
-         Successor rows survive across inclusion checks, so a monitor
-         shared by many refinement pairs steps each state once per
-         context, not once per pair. *)
+  mutable i_monitors : monitor list;
+      (* per-monitor memos under physical identity; a short list
+         scanned with (==) — contexts see a handful of distinct
+         monitors *)
   i_prs : (Regex.t, compiled_prs) Hashtbl.t;
       (* the compiled-automata memo, keyed structurally: each distinct
          prs-expression is compiled once per context *)
-  i_forall_bodies : (int * Oid.t, t) Hashtbl.t;
-      (* (tset id of a [Forall_obj] node, object) -> [body o].  The
-         body of Example 3's P{_RW1} builds a whole regex tree per
-         application; memoizing per node keeps the sub-monitor (and
-         its inner regex) one physically stable value, so per-step
-         applications stop allocating and downstream caches get a
-         stable key. *)
   mutable i_prs_phys : (Regex.t * compiled_prs) list;
       (* physical-identity front cache over [i_prs], capped at
          [prs_phys_cap]: hot-path regexes are stable values (module
-         constants, or [i_forall_bodies] members), so stepping
+         constants, or memoized [Forall_obj] bodies), so stepping
          resolves their automata by pointer scan instead of a
          structural hash + equality per step.  The cap keeps fresh
          regexes from growing the scan; they miss into [i_prs].  Read
          lock-free (a cons chain is immutable); extended under
          [i_lock]. *)
+}
+
+(* The memos of one trace-set value.  Physical identity, not
+   structural: [Spec.tset] is a field read, so the monitors a context
+   actually sees are physically stable values; structurally-equal-but-
+   distinct monitors merely get separate memos, which costs sharing,
+   never soundness. *)
+and monitor = {
+  m_tset : t;
+  mutable m_rows : int array array;
+      (* successor rows: interned state id -> row indexed by event id,
+         [-2] = not yet computed, [-1] = dead; [[||]] = no row yet.
+         Rows survive across checks, so a monitor shared by many
+         refinement pairs and deadlock queries steps each (state,
+         event) once per context. *)
+  m_bodies : (Oid.t, t) Hashtbl.t;
+      (* [Forall_obj] nodes only: object -> [body o].  The body of
+         Example 3's P{_RW1} builds a whole regex tree per
+         application; memoizing per node keeps the sub-monitor (and
+         its inner regex) one physically stable value, so per-step
+         applications stop allocating and downstream caches get a
+         stable key. *)
 }
 
 let prs_phys_cap = 64
@@ -159,11 +175,8 @@ let intern_create () =
     i_count = 0;
     i_events = Hashtbl.create 256;
     i_event_count = 0;
-    i_tsets = [];
-    i_tset_count = 0;
-    i_rows = Hashtbl.create 4096;
+    i_monitors = [];
     i_prs = Hashtbl.create 64;
-    i_forall_bodies = Hashtbl.create 64;
     i_prs_phys = [];
   }
 
@@ -201,64 +214,32 @@ let intern_state c (st : state) : int =
       Metrics.incr interned_states_c;
       id
 
-let state_of_id c id : state =
-  with_intern c @@ fun it ->
-  if id < 0 || id >= it.i_count then invalid_arg "Tset.state_of_id";
-  it.i_rev.(id)
-
-let hashcons_event c (e : Event.t) : Event.t =
-  with_intern c @@ fun it ->
-  match Hashtbl.find_opt it.i_events e with
-  | Some (canonical, _) -> canonical
-  | None ->
-      Hashtbl.add it.i_events e (e, it.i_event_count);
-      it.i_event_count <- it.i_event_count + 1;
-      e
-
-let event_id c (e : Event.t) : int =
-  with_intern c @@ fun it ->
-  match Hashtbl.find_opt it.i_events e with
-  | Some (_, id) -> id
-  | None ->
-      let id = it.i_event_count in
-      Hashtbl.add it.i_events e (e, id);
-      it.i_event_count <- id + 1;
-      id
-
-(* Physical identity, not structural: [Spec.tset] is a field read, so
-   the monitors a context actually sees are physically stable values.
-   Structurally-equal-but-distinct monitors merely get distinct ids,
-   which costs row sharing, never soundness. *)
-let tset_id c (t : t) : int =
-  with_intern c @@ fun it ->
+(* Caller holds [i_lock]. *)
+let monitor_locked it (t : t) : monitor =
   let rec find = function
     | [] -> None
-    | (t', id) :: _ when t' == t -> Some id
+    | m :: _ when m.m_tset == t -> Some m
     | _ :: rest -> find rest
   in
-  match find it.i_tsets with
-  | Some id -> id
+  match find it.i_monitors with
+  | Some m -> m
   | None ->
-      let id = it.i_tset_count in
-      it.i_tsets <- (t, id) :: it.i_tsets;
-      it.i_tset_count <- id + 1;
-      id
+      let m = { m_tset = t; m_rows = [||]; m_bodies = Hashtbl.create 8 } in
+      it.i_monitors <- m :: it.i_monitors;
+      m
 
-(* Memoized [body o] for a [Forall_obj] node.  On a race both domains
-   build structurally equal values and the first insert wins, so every
-   caller shares one physical sub-monitor. *)
+(* Memoized [body o] for a [Forall_obj] node, built under the lock
+   (bodies are pure constructors that never re-enter the context), so
+   every caller shares one physical sub-monitor. *)
 let forall_body c (node : t) (body : Oid.t -> t) (o : Oid.t) : t =
-  let key = (tset_id c node, o) in
-  match with_intern c (fun it -> Hashtbl.find_opt it.i_forall_bodies key) with
+  with_intern c @@ fun it ->
+  let m = monitor_locked it node in
+  match Hashtbl.find_opt m.m_bodies o with
   | Some bt -> bt
   | None ->
       let bt = body o in
-      with_intern c (fun it ->
-          match Hashtbl.find_opt it.i_forall_bodies key with
-          | Some winner -> winner
-          | None ->
-              Hashtbl.add it.i_forall_bodies key bt;
-              bt)
+      Hashtbl.add m.m_bodies o bt;
+      bt
 
 let compile_prs_fresh (c : ctx) (r : Regex.t) : compiled_prs =
   Telemetry.with_span "tset.dfa-compile" @@ fun () ->
@@ -279,26 +260,11 @@ let compile_prs_fresh (c : ctx) (r : Regex.t) : compiled_prs =
     (float_of_int (Telemetry.now_ns () - t0) /. 1e6);
   { dfa; index; atoms }
 
-(* The [i_prs] memo, with the [forall_body] discipline: compile outside
-   the lock, first insert wins.  Two domains racing on a fresh regex
-   both compile (each compile is observed by [dfa_compile_hist]), which
-   is sound because compiled automata for one (regex, universe) pair
-   are interchangeable pure values. *)
-let compile_prs_memo (c : ctx) (r : Regex.t) : compiled_prs =
-  match with_intern c (fun it -> Hashtbl.find_opt it.i_prs r) with
-  | Some v ->
-      Metrics.incr dfa_cache_hits_c;
-      v
-  | None ->
-      let v = compile_prs_fresh c r in
-      with_intern c (fun it ->
-          match Hashtbl.find_opt it.i_prs r with
-          | Some winner -> winner
-          | None ->
-              Hashtbl.add it.i_prs r v;
-              v)
-
-(* Pointer-scan front over the memo; see [i_prs_phys]. *)
+(* The compiled automaton of [r]: a lock-free pointer scan of
+   [i_prs_phys], then, under the lock, the structural memo — compiling
+   there on a miss.  A compile never re-enters the context, so holding
+   the lock through it is safe, and each distinct expression is
+   compiled exactly once per context however many domains race on it. *)
 let compile_prs (c : ctx) (r : Regex.t) : compiled_prs =
   let rec scan = function
     | [] -> None
@@ -307,14 +273,24 @@ let compile_prs (c : ctx) (r : Regex.t) : compiled_prs =
   in
   match scan c.intern.i_prs_phys with
   | Some v -> v
-  | None ->
-      let v = compile_prs_memo c r in
-      with_intern c (fun it ->
-          if
-            List.length it.i_prs_phys < prs_phys_cap
-            && not (List.exists (fun (r', _) -> r' == r) it.i_prs_phys)
-          then it.i_prs_phys <- (r, v) :: it.i_prs_phys);
-      v
+  | None -> (
+      with_intern c @@ fun it ->
+      match scan it.i_prs_phys with
+      | Some v -> v
+      | None ->
+          let v =
+            match Hashtbl.find_opt it.i_prs r with
+            | Some v ->
+                Metrics.incr dfa_cache_hits_c;
+                v
+            | None ->
+                let v = compile_prs_fresh c r in
+                Hashtbl.add it.i_prs r v;
+                v
+          in
+          if List.length it.i_prs_phys < prs_phys_cap then
+            it.i_prs_phys <- (r, v) :: it.i_prs_phys;
+          v)
 
 (* Step the compiled automaton.  Events outside the concrete sample are
    rejected when they match no atom symbolically (exact); an event that
@@ -538,27 +514,80 @@ and product_closure c parts hidden set =
       [ ("composites", string_of_int (Composite_set.cardinal closed)) ];
   closed
 
-(** {1 Cached stepping}
+(** {1 Successor rows}
 
-    The successor of an interned state under a hash-consed event,
-    memoized in the context's row cache.  Monitor stepping is pure, so
-    two domains racing on one key compute the same value and the last
-    insert wins; the step itself runs outside the lock (it re-enters
-    the interning table).  A [Closure_overflow] propagates uncached. *)
-let step_id c (t : t) ~tset_id:tid ~event_id:eid (sid : int) (e : Event.t) :
-    int =
-  let key = (tid, sid, eid) in
-  match with_intern c (fun it -> Hashtbl.find_opt it.i_rows key) with
-  | Some r -> r
-  | None ->
-      let st = state_of_id c sid in
-      let r =
-        match step c t st e with
-        | None -> -1
-        | Some st' -> intern_state c st'
-      in
-      with_intern c (fun it -> Hashtbl.replace it.i_rows key r);
-      r
+    A handle binds one monitor's memo, an alphabet and its event
+    ids.  [row] is one locked lookup per expanded state (widening
+    a row first seen under a smaller alphabet); [succ] reads and fills
+    cells without the lock.  Stepping is pure and interning canonical,
+    so two domains racing on one cell compute and write the same id; a
+    write into a row that another domain has just widened is lost and
+    merely recomputed.  A [Closure_overflow] propagates uncached. *)
+type rows = {
+  r_ctx : ctx;
+  r_mon : monitor;
+  r_events : Event.t array;
+  r_eids : int array;
+  r_width : int;
+}
+
+type row = { r_state : state; r_cells : int array }
+
+let rows c (t : t) (alphabet : Event.t array) : rows =
+  with_intern c @@ fun it ->
+  let event_id e =
+    match Hashtbl.find_opt it.i_events e with
+    | Some id -> id
+    | None ->
+        let id = it.i_event_count in
+        Hashtbl.add it.i_events e id;
+        it.i_event_count <- id + 1;
+        id
+  in
+  let r_eids = Array.map event_id alphabet in
+  {
+    r_ctx = c;
+    r_mon = monitor_locked it t;
+    r_events = alphabet;
+    r_eids;
+    r_width = it.i_event_count;
+  }
+
+let initial h = Option.map (intern_state h.r_ctx) (start h.r_ctx h.r_mon.m_tset)
+
+let row h id : row =
+  with_intern h.r_ctx @@ fun it ->
+  let m = h.r_mon in
+  if id >= Array.length m.m_rows then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length m.m_rows)) [||] in
+    Array.blit m.m_rows 0 grown 0 (Array.length m.m_rows);
+    m.m_rows <- grown
+  end;
+  let cells = m.m_rows.(id) in
+  let cells =
+    if Array.length cells >= h.r_width then cells
+    else begin
+      let wider = Array.make h.r_width (-2) in
+      Array.blit cells 0 wider 0 (Array.length cells);
+      m.m_rows.(id) <- wider;
+      wider
+    end
+  in
+  { r_state = it.i_rev.(id); r_cells = cells }
+
+let succ h r s =
+  let e = h.r_eids.(s) in
+  let v = r.r_cells.(e) in
+  if v <> -2 then v
+  else
+    let v =
+      match step h.r_ctx h.r_mon.m_tset r.r_state h.r_events.(s) with
+      | None -> -1
+      | Some st' -> intern_state h.r_ctx st'
+    in
+    r.r_cells.(e) <- v;
+    Metrics.incr steps_c;
+    v
 
 (** {1 Membership} *)
 

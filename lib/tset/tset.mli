@@ -51,13 +51,16 @@ val part : alpha:Eventset.t -> t -> part
     All trace-level operations are relative to a {!ctx}: the finite
     universe sample (binder expansion, internal-event sampling), a
     safety cap for product closures, and the context's memo tables —
-    interned monitor states, successor rows and the compiled
-    prs-automata.  The type is abstract and owns its memos: each
-    distinct prs-expression is compiled once per context.  Every memo
-    is guarded by one lock, so a context can be shared by every worker
-    domain of a parallel batch.  Compiles are observed by the
-    [posl_tset_dfa_compile_ms] histogram and memo hits counted by
-    [posl_tset_dfa_cache_hits_total]. *)
+    interned monitor states, per-monitor successor rows and the
+    compiled prs-automata.  The type is abstract and owns its memos:
+    each distinct prs-expression is compiled once per context, under
+    the context's lock, and each (monitor, state, event) successor is
+    stepped once per context.  Every memo is guarded by one lock, so a
+    context can be shared by every worker domain of a parallel batch.
+    Compiles are observed by the [posl_tset_dfa_compile_ms] histogram,
+    memo hits counted by [posl_tset_dfa_cache_hits_total], interned
+    states by [posl_tset_interned_states_total] and computed successor
+    cells by [posl_tset_steps_total]. *)
 
 type ctx
 
@@ -74,13 +77,11 @@ exception Closure_overflow of int
 
 (** {1 Monitor semantics}
 
-    Monitor states are pure data; {!compare_state} gives structural
-    comparison for de-duplication.  A state is "alive": prefix-closed
-    languages are exactly the survival languages of monitors. *)
+    The reference semantics: monitor states are pure data, and a state
+    is "alive" — prefix-closed languages are exactly the survival
+    languages of monitors. *)
 
 type state
-
-val compare_state : state -> state -> int
 
 val finitary : t -> bool
 (** Whether every reachable monitor state is bounded-shape pure data,
@@ -91,55 +92,50 @@ val finitary : t -> bool
     states.  Used by the inclusion explorer to decide whether
     running past the depth cut is affordable. *)
 
-(** {1 Interning}
-
-    Each context owns an interning table mapping monitor states to
-    dense small-int ids, so exploration frontiers can compare, hash
-    and store states as single words instead of structural values.
-    Interning is canonical: a [Product] state is the sorted set of its
-    composites under hidden-event closure, so equal macro-states share
-    one id.  All interning operations are thread-safe (contexts are shared across
-    engine worker domains). *)
-
-val intern_state : ctx -> state -> int
-(** Find-or-assign the dense id of a state.  Ids are stable for the
-    lifetime of the context and start at 0. *)
-
-val state_of_id : ctx -> int -> state
-(** Inverse of {!intern_state}.  @raise Invalid_argument on an id
-    never returned by this context. *)
-
-val hashcons_event : ctx -> Posl_trace.Event.t -> Posl_trace.Event.t
-(** Canonical representative of an event within this context:
-    structurally equal events return the same physical value, so
-    downstream tables can key on physical identity. *)
-
-val event_id : ctx -> Posl_trace.Event.t -> int
-(** Dense id of a (hash-consed) event, for row-cache keys. *)
-
-val tset_id : ctx -> t -> int
-(** Dense id of a trace-set value under {e physical} identity.
-    Monitors reached through [Spec.tset] are physically stable, so one
-    spec keeps one id however many refinement pairs it appears in;
-    structurally-equal-but-distinct values get distinct ids (costing
-    only row sharing, never soundness). *)
-
 val start : ctx -> t -> state option
 (** [None] iff even the empty trace is outside the set (degenerate). *)
 
 val step : ctx -> t -> state -> Posl_trace.Event.t -> state option
 (** [None] = the extended trace is outside the set (permanently). *)
 
-val step_id :
-  ctx -> t -> tset_id:int -> event_id:int -> int -> Posl_trace.Event.t -> int
-(** [step_id c t ~tset_id ~event_id sid e] is the interned id of
-    [step c t (state_of_id c sid) e], or [-1] when dead — memoized in
-    the context's successor-row cache keyed by
-    [(tset_id, sid, event_id)].  Rows persist for the context's
-    lifetime, so a monitor shared by many inclusion checks steps each
-    state once.  [tset_id] must be [tset_id c t] and [event_id] must
-    be [event_id c e] (precompute both outside hot loops).
-    Thread-safe; the step itself runs outside the intern lock. *)
+(** {1 Successor rows}
+
+    Every traversal of the reachable state space steps through the
+    context's rows.  Monitor states are interned to dense small-int
+    ids — canonically: a [Product] state is the sorted set of its
+    composites under hidden-event closure, so equal states share one
+    id — and the context keeps, per monitor and interned state, one
+    row of successor ids indexed by the context's event ids.  Cells
+    are filled lazily, one {!step} each, and persist for the context's
+    lifetime, so a monitor shared by many checks steps each (state,
+    event) once.  Ids are stable for the lifetime of the context and
+    meaningful only relative to it and the handle's monitor.  All
+    operations are thread-safe (contexts are shared across engine
+    worker domains). *)
+
+type rows
+(** A handle on one monitor's rows over one concrete alphabet: binds
+    the monitor (under physical identity — a physically stable value,
+    such as [Spec.tset], keeps one set of rows), the alphabet and its
+    event ids.  Alphabet positions index {!succ}. *)
+
+val rows : ctx -> t -> Posl_trace.Event.t array -> rows
+
+val initial : rows -> int option
+(** The interned start state; [None] as for {!start}. *)
+
+type row
+(** One interned state's successor row, fetched with one locked
+    lookup; cells are then read without the lock. *)
+
+val row : rows -> int -> row
+(** [row h id] for an id returned by [initial h] or [succ h]. *)
+
+val succ : rows -> row -> int -> int
+(** [succ h r s] is the interned successor of [r]'s state under the
+    alphabet's event at position [s], or [-1] when dead — computed on
+    the first read, then remembered.  A caller that never reads a cell
+    never steps it. *)
 
 (** {1 Membership} *)
 

@@ -244,27 +244,51 @@ let qsuite =
             List.map (fun i -> alphabet.(i mod Array.length alphabet)) picks
           in
           let h = Trace.of_list events in
-          (* Walk the monitor, round-tripping every state through the
-             interning tables; the walk's answer must match the
-             reference semantics, and the round-trip must be the
-             identity up to [compare_state]. *)
-          let rec walk st = function
-            | [] -> true
-            | e :: rest -> (
-                let id = Tset.intern_state gctx st in
-                let st' = Tset.state_of_id gctx id in
-                if Tset.compare_state st st' <> 0 then false
-                else
-                  match Tset.step gctx t st' e with
-                  | None -> false
-                  | Some nxt -> walk nxt rest)
+          (* Walk the monitor through the successor rows of one fresh
+             context twice: over the spec's alphabet, then over that
+             alphabet reversed followed by the rest of the universe
+             sample.  The second handle sees the same events at other
+             positions and, having more events, widens the rows the
+             first filled.  Interning is canonical, so both walks must
+             visit the same ids — any mix-up of alphabet positions and
+             context event ids shows — and answer as the reference
+             semantics. *)
+          let ctx = Tset.ctx sc.Posl_gen.Gen.universe in
+          let walk alpha =
+            let rows = Tset.rows ctx t alpha in
+            let pos e =
+              let rec find i =
+                if Posl_trace.Event.equal alpha.(i) e then i else find (i + 1)
+              in
+              find 0
+            in
+            (* Each visited row is filled whole, as a search would;
+               the walk returns the ids it visits, [-1] once dead. *)
+            let rec go id = function
+              | [] -> []
+              | e :: rest ->
+                  let r = Tset.row rows id in
+                  Array.iteri (fun s _ -> ignore (Tset.succ rows r s)) alpha;
+                  let id' = Tset.succ rows r (pos e) in
+                  id' :: (if id' < 0 then [] else go id' rest)
+            in
+            match Tset.initial rows with
+            | None -> [ -1 ]
+            | Some id0 -> id0 :: go id0 events
           in
-          let stepped =
-            match Tset.start gctx t with
-            | None -> false
-            | Some st0 -> walk st0 events
+          let others =
+            List.filter
+              (fun e -> not (Array.exists (Posl_trace.Event.equal e) alphabet))
+              (Posl_sets.Eventset.sample sc.Posl_gen.Gen.universe
+                 Posl_sets.Eventset.full)
           in
-          stepped = Tset.mem_naive gctx t h);
+          let ids = walk alphabet in
+          ids
+          = walk
+              (Array.append
+                 (Array.of_list (List.rev (Array.to_list alphabet)))
+                 (Array.of_list others))
+          && (not (List.mem (-1) ids)) = Tset.mem_naive ctx t h);
   ]
 
 let suite =

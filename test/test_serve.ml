@@ -452,6 +452,37 @@ let test_manifest_repeat_adds_no_fragments () =
       answer ();
       Util.check_int "the repeat serializes nothing" after_first (fragments ()))
 
+(* A [file] submission re-reads its spec file: rewriting Y's counting
+   constraint from the write counts to the read counts flips
+   [refine X Y] from refuted to holding on the same live server. *)
+let test_edited_file_reloads () =
+  let path = Filename.temp_file "posl_serve_edit" ".oun" in
+  let write counted =
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (Util.counting_text counted))
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  with_server ~workers:1 (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let holds () =
+        let doc =
+          call_ok c
+            (Wire.request_json
+               (Wire.Submit
+                  (Wire.submission ~depth
+                     ~queries:[ { Wire.kind = "refine"; names = [ "X"; "Y" ] } ]
+                     (`File path))))
+        in
+        match results_of doc with
+        | [ r ] -> V.is_holds (verdict_of_result r)
+        | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
+      in
+      write Util.counted_writes;
+      Alcotest.(check bool) "X ⋢ Y while Y counts writes" false (holds ());
+      write Util.counted_reads;
+      Alcotest.(check bool) "X ⊑ Y once Y counts reads" true (holds ()))
+
 let test_concurrent_clients_agree () =
   with_server ~workers:3 (fun addr ->
       let queries =
@@ -764,6 +795,8 @@ let suite =
       test_submit_composite_tokens;
     Alcotest.test_case "live: repeated composite tokens add no key fragments"
       `Quick test_composite_repeat_adds_no_fragments;
+    Alcotest.test_case "live: an edited spec file reloads" `Quick
+      test_edited_file_reloads;
     Alcotest.test_case "live: repeated manifest path adds no key fragments"
       `Quick test_manifest_repeat_adds_no_fragments;
     Alcotest.test_case "live: concurrent clients agree with direct runs" `Quick

@@ -10,6 +10,8 @@ module G = QCheck2.Gen
 module Gen = Posl_gen.Gen
 module Ex = Posl_core.Examples_paper
 module Spec = Posl_core.Spec
+module Compose = Posl_core.Compose
+module Bmc = Posl_bmc.Bmc
 module Par = Posl_par.Par
 module Metrics = Posl_telemetry.Metrics
 
@@ -171,7 +173,8 @@ let shared_ctx_work () =
 (* Verdict equality: membership verdicts computed by 4 domains sharing
    ONE context (one memo, overlapping regexes compiled concurrently)
    must equal a serial run on a fresh context; the shared memo must
-   compile at least the serial automata set and be hit across
+   compile exactly the serial automata set — compiles happen under the
+   context's lock, so a race never compiles twice — and be hit across
    domains. *)
 let test_shared_ctx_verdicts () =
   let work = shared_ctx_work () in
@@ -185,22 +188,55 @@ let test_shared_ctx_verdicts () =
   Util.check_bool "serial ≡ 4-domain shared-context verdicts" true
     (expected = got);
   Util.check_bool "the serial run compiled automata" true (serial_compiles > 0);
-  Util.check_bool "shared context compiled at least the serial set" true
-    (dfa_compiles () - c1 >= serial_compiles);
+  Util.check_int "shared context compiled exactly the serial set"
+    serial_compiles (dfa_compiles () - c1);
   Util.check_bool "shared memo was hit across domains" true
     (dfa_hits () - h1 > 0)
 
+(* Exploration on a shared context: clause 3 of Def. 2 for every
+   ordered pair of the paper cast and a deadlock search of every spec
+   and of Examples 4–5's compositions, each rendered with its witness.
+   These read and fill the context's successor rows without its lock. *)
+let exploration_work () =
+  let u = Util.paper_universe and depth = 6 in
+  let inclusion g' g ctx =
+    Format.asprintf "%a" (Bmc.pp_verdict Trace.pp)
+      (Bmc.check_inclusion ctx ~alphabet:(Spec.concrete_alphabet u g') ~depth
+         ~lhs:(Spec.tset g') ~proj:(Spec.alpha g) ~rhs:(Spec.tset g))
+  and deadlock g ctx =
+    Format.asprintf "%a"
+      (Format.pp_print_option ~none:(Fmt.any "none") Trace.pp)
+      (Bmc.find_deadlock ctx ~alphabet:(Spec.concrete_alphabet u g) ~depth
+         (Spec.tset g))
+  in
+  let compositions =
+    [ Compose.interface Ex.client Ex.write_acc;
+      Compose.interface Ex.client2 Ex.write_acc ]
+  in
+  List.concat_map
+    (fun g' ->
+      List.filter_map
+        (fun g -> if g' == g then None else Some (inclusion g' g))
+        Ex.all_specs)
+    Ex.all_specs
+  @ List.map deadlock (Ex.all_specs @ compositions)
+
 (* 4 domains hammer one fresh shared context per round, each domain
    walking the corpus from a different offset so first compiles of one
-   regex race across domains.  Every round's verdicts must equal the
+   regex race across domains, and so do first fills of one successor
+   row: membership queries, then inclusion checks and deadlock
+   searches.  Every round's verdicts and witnesses must equal the
    serial run, and afterwards a serial re-run on the shared context
-   must compile nothing: first-insert-wins left every automaton in the
-   memo, whichever domain won. *)
+   must compile nothing: every automaton is in the memo, whichever
+   domain compiled it. *)
 let test_domain_hammer () =
   let work = Array.of_list (shared_ctx_work ()) in
   let n = Array.length work in
+  let explore = Array.of_list (exploration_work ()) in
+  let m = Array.length explore in
   let serial_ctx = Tset.ctx Util.paper_universe in
   let expected = Array.map (fun (t, h) -> Tset.mem serial_ctx t h) work in
+  let expected_explore = Array.map (fun run -> run serial_ctx) explore in
   for round = 1 to 6 do
     let shared = Tset.ctx Util.paper_universe in
     let walk d =
@@ -210,14 +246,31 @@ let test_domain_hammer () =
         let t, h = work.(i) in
         got.(i) <- Tset.mem shared t h
       done;
-      got
+      let explored = Array.make m "" in
+      for k = 0 to m - 1 do
+        let i = (k + (d * m / 4)) mod m in
+        explored.(i) <- explore.(i) shared
+      done;
+      (got, explored)
     in
-    let runs = Par.map_dyn ~domains:4 walk [ 0; 1; 2; 3 ] in
+    (* One spawned domain per walk: [Par.map_dyn] runs a list this
+       short on the calling domain alone. *)
+    let runs =
+      List.init 4 (fun d -> Domain.spawn (fun () -> walk d))
+      |> List.map Domain.join
+    in
     List.iteri
-      (fun d got ->
+      (fun d (got, explored) ->
         Util.check_bool
           (Printf.sprintf "round %d, domain %d ≡ serial" round d)
-          true (got = expected))
+          true (got = expected);
+        Array.iteri
+          (fun i want ->
+            Alcotest.(check string)
+              (Printf.sprintf "round %d, domain %d, exploration %d ≡ serial"
+                 round d i)
+              want explored.(i))
+          expected_explore)
       runs;
     let c0 = dfa_compiles () in
     let again = Array.map (fun (t, h) -> Tset.mem shared t h) work in

@@ -1,7 +1,8 @@
-(* Exact work counters at one domain: product pairs the inclusion
-   explorer admits, DFA compiles and memo hits, content-key fragments,
-   planner derivations and fallbacks, reachable monitor states and
-   automaton sizes.  These numbers do not depend on the machine, so a
+(* Exact work counters: product pairs the inclusion explorer admits,
+   successor-row cells computed (monitor steps), DFA compiles and memo
+   hits, content-key fragments, planner derivations and fallbacks,
+   reachable monitor states and automaton sizes — at one domain, and
+   at two where the shared contexts must not change them.  These numbers do not depend on the machine, so a
    change that makes an algorithm do more or less work fails here on
    any host; a deliberate algorithmic change updates the pinned figure
    and says why.  Wall-clock performance is measured by perfbench/. *)
@@ -33,11 +34,17 @@ let paper_pairs =
         Ex.all_specs)
     Ex.all_specs
 
-let pairs_admitted f =
-  let c = Metrics.counter "posl_bmc_antichain_pairs_total" in
+(* [f ()] and how far it moved the named registry counter. *)
+let counted name f =
+  let c = Metrics.counter name in
   let before = Metrics.value c in
-  f ();
-  Metrics.value c - before
+  let r = f () in
+  (r, Metrics.value c - before)
+
+let pairs_admitted f = snd (counted "posl_bmc_antichain_pairs_total" f)
+
+(* Successor-row cells computed: one monitor step each. *)
+let steps f = counted "posl_tset_steps_total" f
 
 (* Clause 3 of Def. 2 for all 56 pairs on one fresh context. *)
 let test_paper_corpus_pairs () =
@@ -62,7 +69,10 @@ let test_paper_batch () =
       paper_pairs
   in
   let session = Engine.session () in
-  let _, cold = Engine.run_jobs ~domains:1 session batch in
+  let (_, cold), cold_steps =
+    steps (fun () -> Engine.run_jobs ~domains:1 session batch)
+  in
+  check_int "cold: step computations" 9898 cold_steps;
   check_int "cold: computed" 56 cold.Engine.cache_misses;
   check_int "cold: pairs admitted" 362 cold.Engine.antichain_pairs;
   check_int "cold: pairs revisited" 1721 cold.Engine.antichain_prunes;
@@ -77,16 +87,20 @@ let test_paper_batch () =
   check_int "warm: DFA memo hits" 0 warm.Engine.dfa_cache_hits;
   check_int "warm: key fragments" 0 warm.Engine.key_fragments
 
+let batch_manifest () =
+  match
+    Manifest.requests_of_file ~default_depth:6 ~extra_objects:2
+      (Util.example_file "batch.manifest")
+  with
+  | Ok rs -> rs
+  | Error e -> Alcotest.failf "batch.manifest: %s" e
+
 let test_batch_manifest () =
-  let requests =
-    match
-      Manifest.requests_of_file ~default_depth:6 ~extra_objects:2
-        (Util.example_file "batch.manifest")
-    with
-    | Ok rs -> rs
-    | Error e -> Alcotest.failf "batch.manifest: %s" e
+  let requests = batch_manifest () in
+  let (_, s), manifest_steps =
+    steps (fun () -> Engine.run_batch ~domains:1 requests)
   in
-  let _, s = Engine.run_batch ~domains:1 requests in
+  check_int "step computations" 10747 manifest_steps;
   check_int "jobs" 26 s.Engine.jobs;
   check_int "computed" 23 s.Engine.cache_misses;
   check_int "pairs admitted" 1026 s.Engine.antichain_pairs;
@@ -95,6 +109,31 @@ let test_batch_manifest () =
   check_int "DFA memo hits" 18 s.Engine.dfa_cache_hits;
   check_int "states interned" 413 s.Engine.interned_states;
   check_int "key fragments" 12 s.Engine.key_fragments
+
+(* Two domains sharing the batch's contexts do the same automaton and
+   exploration work as one: each distinct prs-expression is compiled
+   once per context, under the context's lock, whichever domain gets
+   there first. *)
+let test_batch_manifest_two_domains () =
+  let _, s = Engine.run_batch ~domains:2 (batch_manifest ()) in
+  check_int "pairs admitted" 1026 s.Engine.antichain_pairs;
+  check_int "DFA compiles" 15 s.Engine.dfa_compiles;
+  check_int "DFA memo hits" 18 s.Engine.dfa_cache_hits;
+  check_int "states interned" 413 s.Engine.interned_states
+
+(* A second deadlock search of one monitor on one context reads every
+   successor from the context's rows: it steps nothing.  RW never
+   deadlocks, so each search expands every state within the depth. *)
+let test_deadlock_rows_reused () =
+  let alphabet = Spec.concrete_alphabet Util.paper_universe Ex.rw in
+  let ctx = Tset.ctx Util.paper_universe in
+  let search () =
+    match Bmc.find_deadlock ctx ~alphabet ~depth:6 (Spec.tset Ex.rw) with
+    | None -> ()
+    | Some _ -> Alcotest.fail "RW deadlocks"
+  in
+  check_int "first search: step computations" 6060 (snd (steps search));
+  check_int "second search: step computations" 0 (snd (steps search))
 
 (* The planner answers the composite corpus with strictly fewer
    product pairs than direct checking: 12 composites derived from
@@ -165,6 +204,10 @@ let suite =
     Alcotest.test_case "56-pair paper batch: cold and warm counters" `Quick
       test_paper_batch;
     Alcotest.test_case "batch.manifest counters" `Quick test_batch_manifest;
+    Alcotest.test_case "batch.manifest counters at 2 domains" `Quick
+      test_batch_manifest_two_domains;
+    Alcotest.test_case "second deadlock search steps nothing" `Quick
+      test_deadlock_rows_reused;
     Alcotest.test_case "composite corpus: planner vs direct counters" `Quick
       test_composite_corpus;
     Alcotest.test_case "RW reachable states by depth" `Quick
